@@ -30,7 +30,8 @@ from .graph import BudgetExceeded, DEFAULT_BUDGET, Graph
 ROBBER_WINS = inf
 GameValue = float | int  # a non-negative int, or math.inf for a robber win
 
-_INF32 = np.int32(2**20)
+# the robber-win value stored in solved tables, above any capture time
+TABLE_INF = np.int32(2**20)
 
 
 def is_finite(value: GameValue) -> bool:
@@ -68,7 +69,7 @@ class SolveTable:
     """Solved value table for every size-k cop multiset on one graph.
 
     ``values[config_index, robber]`` is the number of rounds the cops need
-    from that cops-to-move state under optimal play (``_INF32`` encodes a
+    from that cops-to-move state under optimal play (``TABLE_INF`` encodes a
     robber win).  Configurations are in lexicographic order, so "first
     index" means "lexicographically least".
     """
@@ -85,7 +86,7 @@ class SolveTable:
         if config not in self.index:
             raise KeyError(f"state {config} not present in this table (k={self.k})")
         raw = int(self.values[self.index[config], robber])
-        return ROBBER_WINS if raw >= int(_INF32) else raw
+        return ROBBER_WINS if raw >= int(TABLE_INF) else raw
 
     def placement_value(self, cops: Iterable[int]) -> GameValue:
         """capt(G; S): worst robber start against this placement."""
@@ -93,18 +94,18 @@ class SolveTable:
         if config not in self.index:
             raise KeyError(f"placement {config} not present in this table (k={self.k})")
         raw = int(self.values[self.index[config]].max())
-        return ROBBER_WINS if raw >= int(_INF32) else raw
+        return ROBBER_WINS if raw >= int(TABLE_INF) else raw
 
     def placement_values(self) -> np.ndarray:
-        """Per-configuration capt values as an int array (_INF32-capped)."""
-        return np.minimum(self.values.max(axis=1), _INF32)
+        """Per-configuration capt values as an int array (TABLE_INF-capped)."""
+        return np.minimum(self.values.max(axis=1), TABLE_INF)
 
     def to_json_obj(self) -> list:
         out = []
         for i, config in enumerate(self.configs):
             for r in range(self.graph.n):
                 raw = int(self.values[i, r])
-                out.append([list(config), r, "inf" if raw >= int(_INF32) else raw])
+                out.append([list(config), r, "inf" if raw >= int(TABLE_INF) else raw])
         return out
 
 
@@ -151,7 +152,7 @@ def solve_k(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> SolveTable:
 
     closed_cols = [np.asarray(closed[r], dtype=np.int64) for r in range(n)]
 
-    values = np.full((n_configs, n), _INF32, dtype=np.int32)
+    values = np.full((n_configs, n), TABLE_INF, dtype=np.int32)
     values[capture] = 0
 
     # chunk the cop-move min-reduction to bound gather memory
@@ -172,7 +173,7 @@ def solve_k(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> SolveTable:
             starts = (offsets[lo : hi + 1] - offsets[lo])[:-1]
             part = np.minimum.reduceat(robber_turn[seg], starts, axis=0)
             new_values[lo:hi] = part
-        np.minimum(new_values, _INF32 - 1, out=new_values)
+        np.minimum(new_values, TABLE_INF - 1, out=new_values)
         new_values += 1
         new_values[capture] = 0
 
@@ -218,7 +219,7 @@ def capt_k(
         if sets_only and len(set(c)) != k:
             continue
         v = int(per_config[i])
-        if v < int(_INF32) and v < best:
+        if v < int(TABLE_INF) and v < best:
             best = v
             witness = c
             if best == 0:

@@ -11,7 +11,6 @@ that exact adversarial validation.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import ceil, inf
 from typing import Iterable, Optional, Sequence
@@ -23,6 +22,7 @@ from .graph import (
     Graph,
     distances_from,
     distances_from_set,
+    domination_number,
     feedback_vertex_number,
     is_geodesic,
     k_distance_dominating,
@@ -720,7 +720,9 @@ def staged_decomposition(
         dist_center = distances_from(g, center)
         for ci, comp in enumerate(comps):
             csub, clocal = sub.induced(comp)
-            size, local_wit = _exact_domination(csub)
+            size, local_wit = domination_number(
+                csub, budget=budget, method="enumerate"
+            )
             targets = tuple(sorted(old_ids[clocal[x]] for x in local_wit))
             comp_targets.append(targets)
             for v_local in comp:
@@ -758,16 +760,3 @@ def staged_decomposition(
         ),
     )
 
-
-def _exact_domination(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """Lexicographically least minimum dominating set (small graphs only)."""
-    universe = set(range(g.n))
-    for size in range(1, g.n + 1):
-        for S in itertools.combinations(range(g.n), size):
-            covered = set()
-            for v in S:
-                covered.add(v)
-                covered.update(g.adj[v])
-            if covered == universe:
-                return size, S
-    return 0, ()

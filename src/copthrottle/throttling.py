@@ -19,6 +19,7 @@ from typing import Optional
 from .engine import (
     GameValue,
     ROBBER_WINS,
+    TABLE_INF,
     capt_k,
     cop_number,
     is_finite,
@@ -26,8 +27,6 @@ from .engine import (
     value_to_json,
 )
 from .graph import BudgetExceeded, DEFAULT_BUDGET, Graph, domination_number
-
-_INF_TABLE = 2**20  # matches the engine's internal robber-win sentinel
 
 
 @dataclass(frozen=True)
@@ -156,10 +155,14 @@ def throttling_report(
         if k_max is not None and cap < n:
             truncated = not (cap + 2 >= best_sum and 2 * (cap + 1) >= best_prod)
 
+    # c(G) is the least k with capt_k finite; solve for it only if no row is
+    cops = next((r.k for r in rows if is_finite(r.capt)), None)
+    if cops is None:
+        cops = cop_number(g, budget=budget)
     return ThrottlingReport(
         graph=g,
         rows=rows,
-        cop_number=cop_number(g, budget=budget),
+        cop_number=cops,
         th_sum=best_sum,
         th_prod=best_prod,
         th_sum_k=sum_k,
@@ -200,7 +203,7 @@ def throttling_points(
     for k in range(1, bound + 1):
         table = solve_k(g, k, budget=budget)
         per_config = table.placement_values()
-        seen = sorted({int(v) for v in per_config if int(v) < _INF_TABLE})
+        seen = sorted({int(v) for v in per_config if int(v) < TABLE_INF})
         for p in seen:
             points.append(
                 ThrottlingPoint(

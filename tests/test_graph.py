@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -269,3 +272,71 @@ class TestOuterplanar:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             is_outerplanar(families.grid(3, 4), budget=5)
+
+    @staticmethod
+    def _subdivided(g, length):
+        """Each edge of g replaced by a path of ``length`` edges."""
+        n, edges = g.n, []
+        for u, v in g.edges():
+            inner = list(range(n, n + length - 1))
+            n += length - 1
+            walk = [u, *inner, v]
+            edges += zip(walk, walk[1:])
+        return Graph(n, edges)
+
+    def test_large_sparse_graphs_are_fast(self):
+        cases = [
+            (families.cycle(30), True),
+            (families.path(40), True),
+            (families.grid(2, 50), True),
+            (self._subdivided(families.complete(4), 10), False),
+            (self._subdivided(families.complete_bipartite(2, 3), 10), False),
+        ]
+        for g, want in cases:
+            t0 = time.perf_counter()
+            assert is_outerplanar(g) is want, g
+            assert time.perf_counter() - t0 < 1.0, g
+
+    def test_agrees_with_networkx_apex_planarity(self):
+        # G is outerplanar iff G plus a vertex joined to all of G is planar
+        nx = pytest.importorskip("networkx")
+
+        def oracle(n, edges):
+            h = nx.Graph(list(edges))
+            h.add_edges_from((n, v) for v in range(n))
+            return nx.check_planarity(h)[0]
+
+        def relabelled(n, edges, rng):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            return [(perm[u], perm[v]) for u, v in edges]
+
+        rng = random.Random(2024)
+        # every graph on at most 7 vertices up to isomorphism, in its atlas
+        # labelling and two seeded relabellings
+        for h in nx.graph_atlas_g()[1:]:
+            n, edges = h.number_of_nodes(), list(h.edges())
+            want = oracle(n, edges)
+            for es in (edges, relabelled(n, edges, rng), relabelled(n, edges, rng)):
+                assert is_outerplanar(Graph(n, es)) == want, (n, es)
+
+        # maximal outerplanar graphs on up to 30 vertices, less some edges,
+        # plus up to two new edges
+        verdicts = []
+        for _ in range(400):
+            n = rng.randint(4, 30)
+            cycle, edges = [0, 1, 2], {(0, 1), (1, 2), (0, 2)}
+            for v in range(3, n):
+                i = rng.randrange(len(cycle))
+                a, b = cycle[i], cycle[(i + 1) % len(cycle)]
+                cycle.insert(i + 1, v)
+                edges |= {(a, v), (b, v)}
+            edges = set(rng.sample(sorted(edges), len(edges) - rng.randint(0, n)))
+            for _ in range(rng.choice((0, 1, 1, 2))):
+                a, b = rng.sample(range(n), 2)
+                edges.add((a, b))
+            es = relabelled(n, edges, rng)
+            want = oracle(n, es)
+            assert is_outerplanar(Graph(n, es)) == want, (n, es)
+            verdicts.append(want)
+        assert 100 < sum(verdicts) < 300

@@ -70,7 +70,7 @@ class TestPruningSoundness:
         # the pruned k-sweep must agree with a brute-force sweep over every
         # cop count, including the all-vertices row
         rng = random.Random(77)
-        from copthrottle.engine import solve_k
+        from copthrottle.engine import TABLE_INF, cop_number, solve_k
 
         for _ in range(25):
             n = rng.randint(1, 7)
@@ -83,12 +83,13 @@ class TestPruningSoundness:
             for k in range(1, g.n + 1):
                 per_config = solve_k(g, k).placement_values()
                 capt = int(per_config.min())
-                if capt >= 2**20:
+                if capt >= TABLE_INF:
                     continue
                 best_sum = min(best_sum, k + capt)
                 best_prod = min(best_prod, k * (1 + capt))
             rep = throttling_report(g)
             assert (rep.th_sum, rep.th_prod) == (best_sum, best_prod), g.edges()
+            assert rep.cop_number == cop_number(g), g.edges()
 
 
 class TestPoints:
