@@ -5,22 +5,23 @@ a vertex; each round every cop moves within its closed neighborhood, then
 the robber does; capture is checked after each half-move.  Values count
 rounds; a robber forced to start on a cop gives 0.
 
-The solver performs breadth-layered retrograde analysis over the full
-state space of one cop cardinality k: states are (cop multiset, robber
-vertex) with cops to move, and the layered fixpoint computes the set of
-states capturable within t rounds for t = 0, 1, 2, ... until nothing
-changes.  States never reached are robber wins, reported as ``math.inf``.
+``solve_k`` runs a layered boolean fixpoint over ordered cop tuples: a
+dense bool array of shape (n,)*(k+1), robber last, holds the states won
+within t rounds.  A round folds the robber axis with AND over N[r], then
+each cop axis in turn with OR over N[c] (the team move's min over a
+product of neighbourhoods splits per cop), and stamps t on the canonical
+(sorted) rows newly won.  States never won are robber wins (``math.inf``).
 
-Cop multisets are kept canonical (sorted tuples), which collapses cop
-permutations; successors of a multiset are generated once and shared by
-every sweep.
+The budget unit is the n^(k+1) cells, charged before any allocation; a
+round costs about (k+1)*max|N[v]| byte operations per cell, and peak
+memory is about 4 * n^(k+1) bytes.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb, inf
+from math import inf
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -40,10 +41,6 @@ def is_finite(value: GameValue) -> bool:
 
 def value_to_json(value: GameValue) -> int | str:
     return "inf" if value == ROBBER_WINS else int(value)
-
-
-def value_from_json(value) -> GameValue:
-    return ROBBER_WINS if value == "inf" else int(value)
 
 
 def canonical_config(positions: Iterable[int]) -> tuple[int, ...]:
@@ -114,74 +111,62 @@ def _config_successors(closed: Sequence[tuple[int, ...]], config: tuple[int, ...
     return {tuple(sorted(p)) for p in itertools.product(*(closed[v] for v in config))}
 
 
+def _neighbour_fold(src, axis, slots, out, buf, op) -> None:
+    """out = op over the slots j of src with ``axis`` re-indexed by slots[j]."""
+    np.take(src, slots[0], axis=axis, out=out, mode="clip")
+    for s in slots[1:]:
+        np.take(src, s, axis=axis, out=buf, mode="clip")
+        op(out, buf, out=out)
+
+
 def solve_k(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> SolveTable:
-    """Retrograde-solve the whole k-cop state space of ``g``."""
+    """Retrograde-solve the whole k-cop state space of ``g``.
+
+    The budget unit is the dense cell count n^(k+1), charged before any
+    allocation.  Each fixpoint round costs about (k+1)*D times that many
+    byte operations, D being the largest closed neighbourhood, and a solve
+    takes one round more than its largest finite value.
+    """
     if k < 1:
         raise ValueError("k must be positive")
     if g.n == 0:
         raise ValueError("cannot play on the empty graph")
     n = g.n
-    n_configs = comb(n + k - 1, k)
-    if n_configs * n > budget:
-        raise BudgetExceeded("solve_k", n_configs * n, budget)
+    if n ** (k + 1) > budget:
+        raise BudgetExceeded("solve_k", n ** (k + 1), budget)
 
     configs = list(itertools.combinations_with_replacement(range(n), k))
-    index = {c: i for i, c in enumerate(configs)}
-    closed = g.closed
+    rows = np.ravel_multi_index(np.array(configs).T, (n,) * k)
+    # slot j maps each vertex to its j-th closed neighbour, padded with itself
+    slots = [
+        np.array([c[j] if j < len(c) else v for v, c in enumerate(g.closed)])
+        for j in range(max(len(c) for c in g.closed))
+    ]
 
-    # CSR successor structure over configuration ids
-    succ_ids: list[int] = []
-    offsets = np.empty(n_configs + 1, dtype=np.int64)
-    offsets[0] = 0
-    work = n_configs * n
-    for i, c in enumerate(configs):
-        raw = 1
-        for v in c:
-            raw *= len(closed[v])
-        work += raw
-        if work > budget:
-            raise BudgetExceeded("solve_k", work, budget)
-        succs = sorted(index[t] for t in _config_successors(closed, c))
-        succ_ids.extend(succs)
-        offsets[i + 1] = len(succ_ids)
-    succ_arr = np.asarray(succ_ids, dtype=np.int64)
+    shape = (n,) * (k + 1)
+    axes = np.indices(shape, sparse=True)
+    capture = np.zeros(shape, dtype=bool)
+    for a in range(k):
+        capture |= axes[a] == axes[k]
+    won, step, buf = capture.copy(), np.empty(shape, bool), np.empty(shape, bool)
+    values = np.full((len(configs), n), TABLE_INF, dtype=np.int32)
+    values[capture.reshape(-1, n)[rows]] = 0
 
-    capture = np.zeros((n_configs, n), dtype=bool)
-    for i, c in enumerate(configs):
-        capture[i, list(c)] = True
-
-    closed_cols = [np.asarray(closed[r], dtype=np.int64) for r in range(n)]
-
-    values = np.full((n_configs, n), TABLE_INF, dtype=np.int32)
-    values[capture] = 0
-
-    # chunk the cop-move min-reduction to bound gather memory
-    total_edges = len(succ_arr)
-    target_cells = 4_000_000
-    chunk = max(1, min(n_configs, target_cells // max(1, (total_edges // n_configs + 1) * n)))
-
-    robber_turn = np.empty_like(values)
+    t = 0
     while True:
-        for r in range(n):
-            np.max(values[:, closed_cols[r]], axis=1, out=robber_turn[:, r])
-        robber_turn[capture] = 0
-
-        new_values = np.empty_like(values)
-        for lo in range(0, n_configs, chunk):
-            hi = min(lo + chunk, n_configs)
-            seg = succ_arr[offsets[lo] : offsets[hi]]
-            starts = (offsets[lo : hi + 1] - offsets[lo])[:-1]
-            part = np.minimum.reduceat(robber_turn[seg], starts, axis=0)
-            new_values[lo:hi] = part
-        np.minimum(new_values, TABLE_INF - 1, out=new_values)
-        new_values += 1
-        new_values[capture] = 0
-
-        if np.array_equal(new_values, values):
+        t += 1
+        # robber to move: lost if on a cop or if every move in N[r] is won
+        _neighbour_fold(won, k, slots, step, buf, np.logical_and)
+        step |= capture
+        # cops to move: the min over N[c_1] x ... x N[c_k] splits per cop
+        for a in range(k):
+            _neighbour_fold(step, a, slots, won, buf, np.logical_or)
+            step, won = won, step
+        np.logical_or(step, capture, out=won)
+        fresh = won.reshape(-1, n)[rows] & (values == TABLE_INF)
+        if not fresh.any():
             break
-        values = new_values
-        robber_turn = np.empty_like(values)
-
+        values[fresh] = t
     return SolveTable(g, k, configs, values)
 
 

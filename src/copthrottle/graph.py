@@ -190,10 +190,6 @@ def distances_from(g: Graph, source: int) -> list[Optional[int]]:
     return distances_from_set(g, (source,))
 
 
-def all_pairs_distances(g: Graph) -> list[list[Optional[int]]]:
-    return [distances_from(g, v) for v in range(g.n)]
-
-
 def max_distance(g: Graph, sources: Iterable[int]) -> Optional[int]:
     """max_v d(v, S); ``None`` if some vertex is unreachable from S."""
     dist = distances_from_set(g, sources)
@@ -220,12 +216,6 @@ def radius_and_center(g: Graph) -> tuple[int, int]:
         if best_e is None or e < best_e:
             best_v, best_e = v, e
     return best_e, best_v
-
-
-def diameter(g: Graph) -> int:
-    if not g.is_connected() or g.n == 0:
-        raise ValueError("diameter requires a non-empty connected graph")
-    return max(eccentricity(g, v) for v in range(g.n))
 
 
 def bfs_tree(g: Graph, root: int) -> tuple[list[int], list[Optional[int]], list[int]]:

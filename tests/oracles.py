@@ -1,8 +1,9 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately naive and shares no code path with the
-library: a depth-capped minimax game solver, brute-force radius and
-domination, and bisection for the Lambert W function.
+library: a depth-capped minimax game solver, a full-table value iteration
+over team moves, brute-force radius and domination, and bisection for the
+Lambert W function.
 """
 
 from __future__ import annotations
@@ -46,6 +47,39 @@ def minimax_capture(g, placement, max_rounds):
 
     start = tuple(sorted(placement))
     return max(value(start, r, max_rounds) for r in range(g.n))
+
+
+def reference_table(g, k):
+    """Capture time of every (cop multiset, robber) state, cops to move.
+
+    Plain layered value iteration over whole-team moves, each the sorted
+    product of the cops' closed neighbourhoods.  Returns a dict from the
+    sorted cop tuple to a list of per-robber values, BIG for robber wins.
+    """
+    closed = [tuple(sorted(set(g.adj[v]) | {v})) for v in range(g.n)]
+    configs = list(itertools.combinations_with_replacement(range(g.n), k))
+    moves = {
+        c: {tuple(sorted(p)) for p in itertools.product(*(closed[v] for v in c))}
+        for c in configs
+    }
+    value = {c: [0 if r in c else BIG for r in range(g.n)] for c in configs}
+    t = 0
+    while True:
+        t += 1
+        # values set in this round are not visible until the next one
+        fresh = [
+            (c, r)
+            for c in configs
+            for r in range(g.n)
+            if value[c][r] == BIG
+            and any(
+                r in c2 or all(value[c2][r2] < t for r2 in closed[r]) for c2 in moves[c]
+            )
+        ]
+        if not fresh:
+            return value
+        for c, r in fresh:
+            value[c][r] = t
 
 
 def brute_rad_k(g, k):

@@ -1,13 +1,16 @@
 import json
 import random
+import time
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from copthrottle import families
 from copthrottle.engine import (
     GameState,
     ROBBER_WINS,
+    TABLE_INF,
     canonical_config,
     capt_k,
     cop_number,
@@ -16,9 +19,9 @@ from copthrottle.engine import (
     solve_placement,
     value_to_json,
 )
-from copthrottle.graph import BudgetExceeded
+from copthrottle.graph import BudgetExceeded, Graph
 
-from oracles import BIG, all_small_graphs, minimax_capture
+from oracles import BIG, all_small_graphs, minimax_capture, reference_table
 
 
 class TestGameValues:
@@ -61,6 +64,13 @@ class TestSolvePlacement:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             solve_k(families.grid(3, 4), 4, budget=100)
+
+    def test_default_budget_fails_fast(self):
+        # 20^7 dense cells: charged up front, so the refusal costs no work
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceeded):
+            solve_k(families.path(20), 6)
+        assert time.perf_counter() - t0 < 1.0
 
     def test_table_json_export(self):
         _, table = solve_placement(families.path(3), (1,))
@@ -162,6 +172,34 @@ class TestOracleAgreement:
                 want = minimax_capture(g, S, 2 * n)
                 got = table.placement_value(S)
                 assert (want if want < BIG else ROBBER_WINS) == got
+
+
+def assert_matches_reference(g, k):
+    table = solve_k(g, k)
+    ref = reference_table(g, k)
+    assert table.configs == list(ref)
+    want = np.array([ref[c] for c in table.configs])
+    want[want == BIG] = TABLE_INF
+    assert table.values.dtype == np.int32
+    assert np.array_equal(table.values, want)
+
+
+class TestReferenceSolver:
+    """Every cell of solve_k, robber wins included, against plain value iteration."""
+
+    def test_every_graph_on_five_vertices(self):
+        for g in all_small_graphs(5):
+            for k in (1, 2, 3):
+                assert_matches_reference(g, k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 7), st.floats(0, 1), st.integers(0, 10**6), st.integers(1, 4))
+    @example(n=7, p=0.0, seed=0, k=3)  # edgeless
+    @example(n=6, p=0.3, seed=11, k=4)  # disconnected
+    def test_random_gnp(self, n, p, seed, k):
+        rng = random.Random(seed)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        assert_matches_reference(Graph(n, edges), k)
 
 
 class TestMonotonicity:

@@ -19,6 +19,7 @@ from copthrottle.strategy import (
     shadow_guard_simulate,
     staged_decomposition,
 )
+from copthrottle.verify import run_suite
 
 from oracles import bisect_lambert_w
 
@@ -212,6 +213,11 @@ class TestFeedbackBound:
             cost = len(cert.placement) + cert.claimed_bound
             assert cost <= 2 * math.sqrt(g.n) + f
             assert certify_strategy(g, cert).valid
+
+    def test_certificates_suite_seed_2_within_default_budget(self):
+        # an n = 9 feedback placement here needs a k = 6 table (9^7 cells)
+        result = run_suite("certificates", seed=2, count=5, max_n=10)
+        assert (result.passed, result.failed) == (25, 0)
 
 
 class TestStaged:
