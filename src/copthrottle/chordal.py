@@ -19,7 +19,7 @@ from .graph import (
     DEFAULT_BUDGET,
     CornerWitness,
     Graph,
-    distances_from,
+    geodesic_between,
     k_distance_dominating,
     k_radius_exact,
     max_distance,
@@ -112,14 +112,10 @@ def _induced_long_cycle(g: Graph) -> tuple[int, ...]:
                 keep = [u for u in range(g.n) if u not in banned]
                 sub, old_ids = g.induced(keep)
                 back = {old: new for new, old in enumerate(old_ids)}
-                dist = distances_from(sub, back[a])
-                if dist[back[b]] is None:
+                try:
+                    path = geodesic_between(sub, back[b], back[a])
+                except ValueError:  # a and b lie in different components
                     continue
-                path = [back[b]]
-                cur = back[b]
-                while cur != back[a]:
-                    cur = min(x for x in sub.adj[cur] if dist[x] == dist[cur] - 1)
-                    path.append(cur)
                 cycle = tuple([v] + [old_ids[x] for x in reversed(path)])
                 assert len(cycle) >= 4
                 return cycle
@@ -293,6 +289,8 @@ def chordal_throttling(
     min_k (k + rad_k(G)); computed exactly while the subset-enumeration
     budget allows, otherwise certified as an upper bound by the greedy
     distance-dominating placement (at most ceil(sqrt n) + floor(sqrt n) - 1).
+    Each exact rad_k is n BFS plus about n element operations per k-subset,
+    charged in the same budget unit as before, which now bounds that work.
     """
     _require_connected_chordal(g)
     rad, center = radius_and_center(g)

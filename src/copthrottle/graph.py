@@ -16,6 +16,8 @@ from collections import deque
 from math import comb
 from typing import Iterable, NamedTuple, Optional, Sequence
 
+import numpy as np
+
 DEFAULT_BUDGET = 10**8
 
 
@@ -202,20 +204,21 @@ def max_distance(g: Graph, sources: Iterable[int]) -> Optional[int]:
     return best
 
 
-def eccentricity(g: Graph, v: int) -> Optional[int]:
-    return max_distance(g, (v,))
+def distance_matrix(g: Graph) -> np.ndarray:
+    """All-pairs BFS distances as an n x n int32 array, n where unreachable."""
+    dist = np.empty((g.n, g.n), dtype=np.int32)
+    for v in range(g.n):
+        dist[v] = [g.n if d is None else d for d in distances_from(g, v)]
+    return dist
 
 
 def radius_and_center(g: Graph) -> tuple[int, int]:
     """(rad(G), least central vertex) for a connected graph."""
     if not g.is_connected() or g.n == 0:
         raise ValueError("radius requires a non-empty connected graph")
-    best_v, best_e = 0, None
-    for v in range(g.n):
-        e = eccentricity(g, v)
-        if best_e is None or e < best_e:
-            best_v, best_e = v, e
-    return best_e, best_v
+    ecc = distance_matrix(g).max(axis=1)
+    center = int(ecc.argmin())
+    return int(ecc[center]), center
 
 
 def bfs_tree(g: Graph, root: int) -> tuple[list[int], list[Optional[int]], list[int]]:
@@ -253,30 +256,40 @@ def k_radius_exact(
     k-set reaches every vertex, which happens iff G is disconnected with
     more than k components.  Witness is the lexicographically least
     optimal set.
+
+    Cost: n BFS, then about n element operations per subset, as each
+    (k-1)-prefix in lexicographic order scores all its completions at once
+    against the running minimum of its rows.  The budget unit is unchanged,
+    comb(n, k) * (n + m + k) checked before any work; for k < n on a
+    connected graph it is an upper bound on the work.
     """
     if not (1 <= k <= g.n):
         raise ValueError(f"k={k} must be in 1..n={g.n}")
     required = comb(g.n, k) * (g.n + g.m + k)
     if required > budget:
         raise BudgetExceeded("k_radius_exact", required, budget)
-    best: Optional[int] = None
-    witness: tuple[int, ...] = ()
-    for S in itertools.combinations(range(g.n), k):
-        d = max_distance(g, S)
-        if d is None:
-            continue
-        if best is None or d < best:
-            best, witness = d, S
+    dist = distance_matrix(g)
+    best, witness = g.n, ()
+    # reach[i]: running minimum of the prefix's first i rows, shared prefixes reused
+    reach = [np.full(g.n, g.n, dtype=np.int32)]
+    prev: tuple[int, ...] = ()
+    for prefix in itertools.combinations(range(g.n - 1), k - 1):
+        same = next((i for i, (a, b) in enumerate(zip(prev, prefix)) if a != b), len(prev))
+        del reach[same + 1 :]
+        for v in prefix[same:]:
+            reach.append(np.minimum(reach[-1], dist[v]))
+        prev = prefix
+        start = prefix[-1] + 1 if prefix else 0
+        scores = np.minimum(reach[-1], dist[start:]).max(axis=1)
+        i = int(scores.argmin())
+        # strictly smaller only: the first optimum seen is lexicographically least
+        if scores[i] < best:
+            best, witness = int(scores[i]), prefix + (start + i,)
             if best == 0:
                 break
-    if best is None:
+    if best == g.n:
         return None, ()
     return best, witness
-
-
-def _covers(g: Graph, S: Sequence[int], k: int) -> bool:
-    dist = distances_from_set(g, S)
-    return all(d is not None and d <= k for d in dist)
 
 
 def k_distance_dominating(
@@ -332,7 +345,7 @@ def k_distance_dominating(
             # hence lies within distance k of u already
             break
     result = tuple(sorted(set(chosen)))
-    assert _covers(g, result, k)
+    assert max_distance(g, result) <= k
     return result
 
 
@@ -352,9 +365,9 @@ def domination_number(
         return 0, ()
     balls = [set(g.closed[v]) for v in range(g.n)]
     if k > 1:
-        for v in range(g.n):
-            dist = distances_from(g, v)
-            balls[v] = {u for u, d in enumerate(dist) if d is not None and d <= k}
+        # finite distances are below n, which marks unreachable pairs
+        near = distance_matrix(g) <= min(k, g.n - 1)
+        balls = [set(np.flatnonzero(row).tolist()) for row in near]
     if method == "auto":
         method = "enumerate" if g.n <= 16 else "milp"
     if method == "milp":
@@ -378,7 +391,6 @@ def domination_number(
 
 
 def _domination_milp(g: Graph, balls: list[set[int]]) -> tuple[int, tuple[int, ...]]:
-    import numpy as np
     from scipy.optimize import LinearConstraint, milp
 
     A = np.zeros((g.n, g.n))

@@ -20,10 +20,12 @@ from .engine import GameState, ROBBER_WINS, optimal_moves, solve_k
 from .graph import (
     DEFAULT_BUDGET,
     Graph,
+    distance_matrix,
     distances_from,
     distances_from_set,
     domination_number,
     feedback_vertex_number,
+    geodesic_between,
     is_geodesic,
     k_distance_dominating,
     radius_and_center,
@@ -621,24 +623,11 @@ def _carve_paths(
         found = None
         for comp in comps:
             csub, clocal = sub.induced(comp)
-            dists = [distances_from(csub, v) for v in range(csub.n)]
-            pair = None
-            for u in range(csub.n):
-                for v in range(csub.n):
-                    if u != v and dists[u][v] == length:
-                        pair = (u, v)
-                        break
-                if pair:
-                    break
-            if pair is None:
+            # row-major order: the least u, then the least v, at that distance
+            us, vs = (distance_matrix(csub) == length).nonzero()
+            if len(us) == 0:
                 continue
-            u, v = pair
-            dist_v = dists[v]
-            path_local = [u]
-            cur_ = u
-            while cur_ != v:
-                cur_ = min(w for w in csub.adj[cur_] if dist_v[w] == dist_v[cur_] - 1)
-                path_local.append(cur_)
+            path_local = geodesic_between(csub, int(us[0]), int(vs[0]))
             path = tuple(old_ids[clocal[x]] for x in path_local)
             # retraction of the whole residual graph onto the path:
             # distance-indexed on the path's component, constant elsewhere

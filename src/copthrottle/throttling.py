@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .engine import (
     GameValue,
     ROBBER_WINS,
@@ -26,7 +28,7 @@ from .engine import (
     solve_k,
     value_to_json,
 )
-from .graph import BudgetExceeded, DEFAULT_BUDGET, Graph, domination_number
+from .graph import BudgetExceeded, DEFAULT_BUDGET, Graph, distance_matrix, domination_number
 
 
 @dataclass(frozen=True)
@@ -202,9 +204,9 @@ def throttling_points(
     points: list[ThrottlingPoint] = []
     for k in range(1, bound + 1):
         table = solve_k(g, k, budget=budget)
-        per_config = table.placement_values()
-        seen = sorted({int(v) for v in per_config if int(v) < TABLE_INF})
-        for p in seen:
+        values = table.placement_values()
+        # distinct finite values in increasing order; np.unique would import numpy.ma
+        for p in np.flatnonzero(np.bincount(values[values < TABLE_INF])).tolist():
             points.append(
                 ThrottlingPoint(
                     k,
@@ -310,13 +312,12 @@ def classify_thprod_low(g: Graph, budget: int = DEFAULT_BUDGET) -> LowProductCla
 
 
 def _case_3b(g: Graph) -> tuple[bool, Optional[int], bool]:
-    from .graph import distances_from
-
+    # finite distances are below n, which marks unreachable pairs
+    far = distance_matrix(g).max(axis=1) > min(2, g.n - 1)
     verdict_open: Optional[int] = None
     verdict_alt: Optional[int] = None
     for z in range(g.n):
-        dist = distances_from(g, z)
-        if any(d is None or d > 2 for d in dist):
+        if far[z]:
             continue
         closed_z = g.nbr[z] | {z}
         outside = [w for w in range(g.n) if w not in closed_z]

@@ -2,8 +2,8 @@
 
 Everything here is deliberately naive and shares no code path with the
 library: a depth-capped minimax game solver, a full-table value iteration
-over team moves, brute-force radius and domination, and bisection for the
-Lambert W function.
+over team moves, brute-force radius (with its least witness) and
+domination, and bisection for the Lambert W function.
 """
 
 from __future__ import annotations
@@ -84,13 +84,19 @@ def reference_table(g, k):
 
 def brute_rad_k(g, k):
     """min over k-subsets of the max BFS distance; BIG if none reaches all."""
-    best = BIG
+    return brute_rad_k_witness(g, k)[0]
+
+
+def brute_rad_k_witness(g, k):
+    """(rad_k, lexicographically least optimal k-subset); (BIG, ()) if none reaches all."""
+    best, witness = BIG, ()
     for S in itertools.combinations(range(g.n), k):
         dist = bfs_from_set(g, S)
         if any(d is None for d in dist):
             continue
-        best = min(best, max(dist))
-    return best
+        if max(dist) < best:
+            best, witness = max(dist), S
+    return best, witness
 
 
 def bfs_from_set(g, sources):

@@ -141,9 +141,9 @@ class TestCornerElimination:
         # each deleted vertex must be a corner of the residual graph
         for seed in range(10):
             g = families.random_chordal(9, seed)
-            from copthrottle.graph import geodesic_between, eccentricity
+            from copthrottle.graph import geodesic_between, max_distance
 
-            far = max(range(g.n), key=lambda v: eccentricity(g, v))
+            far = max(range(g.n), key=lambda v: max_distance(g, (v,)))
             other = max(range(g.n), key=lambda v: distances_from(g, far)[v])
             p = geodesic_between(g, far, other)
             steps = corner_elimination_sequence(g, p)

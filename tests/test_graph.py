@@ -1,5 +1,6 @@
 import random
 import time
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,8 +23,9 @@ from copthrottle.graph import (
     k_radius_exact,
     max_distance,
 )
+from copthrottle.verify import tree_corpus
 
-from oracles import brute_domination, brute_rad_k, BIG
+from oracles import all_small_graphs, brute_domination, brute_rad_k, brute_rad_k_witness, BIG
 
 
 def graphs(max_n=8):
@@ -133,6 +135,45 @@ class TestKRadius:
     def test_rad_n_is_zero(self):
         g = families.cycle(5)
         assert k_radius_exact(g, g.n)[0] == 0
+
+    @staticmethod
+    def _agrees_with_oracle(g, k, budget=10**8):
+        value, witness = k_radius_exact(g, k, budget=budget)
+        expect, expect_witness = brute_rad_k_witness(g, k)
+        assert (value, witness) == (
+            (expect, expect_witness) if expect < BIG else (None, ())
+        ), (g.n, g.edges(), k)
+        assert all(type(x) is int for x in witness)
+        assert value is None or type(value) is int
+
+    def test_value_and_least_witness_on_all_small_graphs(self):
+        # every labelled graph on <= 5 vertices, disconnected ones included
+        for n in range(1, 6):
+            for g in all_small_graphs(n):
+                for k in range(1, n + 1):
+                    self._agrees_with_oracle(g, k)
+
+    def test_value_and_least_witness_on_tree_corpus(self):
+        budget = 2 * 10**6
+        checked = 0
+        for g in tree_corpus(10, 100, 42):
+            for k in range(1, min(3, g.n) + 1):
+                if comb(g.n, k) * (g.n + g.m + k) <= budget:
+                    self._agrees_with_oracle(g, k, budget)
+                    checked += 1
+        assert checked >= 20
+
+    def test_charge_checked_before_work(self):
+        g = families.random_tree(150, 7)
+        k = 3
+        charge = comb(g.n, k) * (g.n + g.m + k)
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceeded) as info:
+            k_radius_exact(g, k, budget=charge - 1)
+        assert time.perf_counter() - t0 < 0.05
+        assert info.value.required == charge
+        value, witness = k_radius_exact(g, k, budget=charge)
+        assert value == max_distance(g, witness) and len(witness) == k
 
 
 class TestDomination:
