@@ -20,6 +20,7 @@ from .graph import (
     CornerWitness,
     Graph,
     geodesic_between,
+    is_geodesic,
     k_distance_dominating,
     k_radius_exact,
     max_distance,
@@ -172,6 +173,31 @@ def clique_decomposition(g: Graph) -> CliqueDecomposition:
     return CliqueDecomposition(tuple(order))
 
 
+def _peel_corners(g: Graph, keep: set[int], stuck: str) -> list[CornerWitness]:
+    """Delete the lowest-id corner outside ``keep`` until only ``keep`` is left.
+
+    Each step records the corner and its lowest-id dominator among the
+    vertices still alive.  Raises ``ValueError(stuck)`` when no vertex
+    outside ``keep`` is a corner.
+    """
+    alive = set(range(g.n))
+    steps: list[CornerWitness] = []
+    while alive != keep:
+        found = None
+        for v in sorted(alive - keep):
+            cv = (g.nbr[v] & alive) | {v}
+            found = next(
+                (u for u in sorted(alive - {v}) if cv <= (g.nbr[u] & alive) | {u}), None
+            )
+            if found is not None:
+                break
+        if found is None:
+            raise ValueError(stuck)
+        steps.append(CornerWitness(v, found))
+        alive.discard(v)
+    return steps
+
+
 def corner_elimination_sequence(
     g: Graph, p: Sequence[int]
 ) -> list[CornerWitness]:
@@ -181,32 +207,13 @@ def corner_elimination_sequence(
     no corner is available, which signals a non-chordal graph or a
     non-geodesic path.
     """
-    from .graph import is_geodesic
-
     if not is_geodesic(g, p):
         raise ValueError("p must be a geodesic of g")
-    keep = set(p)
-    alive = set(range(g.n))
-    nbr = [set(g.nbr[v]) for v in range(g.n)]
-    steps: list[CornerWitness] = []
-    while alive != keep:
-        found = None
-        for v in sorted(alive - keep):
-            cv = (nbr[v] & alive) | {v}
-            for u in sorted(alive - {v}):
-                if cv <= ((nbr[u] & alive) | {u}):
-                    found = CornerWitness(v, u)
-                    break
-            if found:
-                break
-        if found is None:
-            raise ValueError(
-                "no corner available off the path; input is not chordal "
-                "or p is not a geodesic"
-            )
-        steps.append(found)
-        alive.discard(found.corner)
-    return steps
+    return _peel_corners(
+        g,
+        set(p),
+        "no corner available off the path; input is not chordal or p is not a geodesic",
+    )
 
 
 def retraction_onto(g: Graph, target: Iterable[int]) -> dict[int, int]:
@@ -221,24 +228,7 @@ def retraction_onto(g: Graph, target: Iterable[int]) -> dict[int, int]:
     keep = set(target)
     if not keep:
         raise ValueError("target must be non-empty")
-    alive = set(range(g.n))
-    nbr = [set(g.nbr[v]) for v in range(g.n)]
-    dominator: dict[int, int] = {}
-    while alive != keep:
-        found = None
-        for v in sorted(alive - keep):
-            cv = (nbr[v] & alive) | {v}
-            for u in sorted(alive - {v}):
-                if cv <= ((nbr[u] & alive) | {u}):
-                    found = (v, u)
-                    break
-            if found:
-                break
-        if found is None:
-            raise ValueError("cannot retract: no corner outside the target")
-        v, u = found
-        dominator[v] = u
-        alive.discard(v)
+    dominator = dict(_peel_corners(g, keep, "cannot retract: no corner outside the target"))
 
     phi = {}
     for v in range(g.n):

@@ -297,7 +297,7 @@ def k_distance_dominating(
 ) -> tuple[int, ...]:
     """A set S with d(v, S) <= k for every vertex v.
 
-    ``exact`` enumerates subsets by increasing size (lexicographically
+    ``exact`` is :func:`domination_number`'s witness (the lexicographically
     least minimum set).  ``greedy`` walks a BFS spanning tree, repeatedly
     taking the k-th ancestor of a deepest remaining vertex and discarding
     its subtree; for connected G with n >= k+1 this yields at most
@@ -308,10 +308,7 @@ def k_distance_dominating(
     if g.n == 0:
         return ()
     if mode == "exact":
-        size, witness = domination_number(g, k, budget=budget, method="enumerate")
-        if size is None:
-            raise ValueError("graph has more components than any covering set can reach")
-        return witness
+        return domination_number(g, k, budget=budget)[1]
     if mode != "greedy":
         raise ValueError(f"unknown mode {mode!r}")
     if not g.is_connected():
@@ -350,63 +347,71 @@ def k_distance_dominating(
 
 
 def domination_number(
-    g: Graph, k: int = 1, budget: int = DEFAULT_BUDGET, method: str = "auto"
-) -> tuple[Optional[int], tuple[int, ...]]:
+    g: Graph, k: int = 1, budget: int = DEFAULT_BUDGET
+) -> tuple[int, tuple[int, ...]]:
     """Exact k-distance domination number gamma_k(G) with a witness.
 
-    ``enumerate`` tries subsets by increasing size within the budget;
-    ``milp`` solves the set-cover integer program with scipy's HiGHS
-    backend (used for orders where enumeration is hopeless); ``auto``
-    picks between them.  Returns (None, ()) when no set of any size
-    covers (impossible for k >= 1: singletons cover their own vertex,
-    so this only guards the empty graph).
+    Tries sizes s = 1, 2, ... in turn.  For each, a depth-first search picks
+    v1 < v2 < ... < vs in lexicographic order, vertex v dominating its
+    k-ball.  A prefix is cut when (a) some undominated vertex has no
+    dominator at or after the next candidate, or (b) more undominated
+    vertices have pairwise-disjoint sets of such dominators than there are
+    picks left.  Both cuts drop only subtrees that hold no dominating set,
+    so the witness is the lexicographically least minimum set, at every
+    order.
+
+    Budget unit: n steps per search node, charged as nodes are visited;
+    :class:`BudgetExceeded` is raised as soon as the total passes ``budget``.
     """
-    if g.n == 0:
+    n = g.n
+    if n == 0:
         return 0, ()
-    balls = [set(g.closed[v]) for v in range(g.n)]
     if k > 1:
         # finite distances are below n, which marks unreachable pairs
-        near = distance_matrix(g) <= min(k, g.n - 1)
-        balls = [set(np.flatnonzero(row).tolist()) for row in near]
-    if method == "auto":
-        method = "enumerate" if g.n <= 16 else "milp"
-    if method == "milp":
-        return _domination_milp(g, balls)
-    if method != "enumerate":
-        raise ValueError(f"unknown method {method!r}")
-    universe = set(range(g.n))
+        near = distance_matrix(g) <= min(k, n - 1)
+        balls = [sum(1 << int(u) for u in np.flatnonzero(row)) for row in near]
+    else:
+        balls = [sum(1 << u for u in g.closed[v]) for v in range(n)]
+    full = (1 << n) - 1
+    # vertices with few dominators first, so the greedy packing of (b) is large
+    order = sorted(range(n), key=lambda u: (balls[u].bit_count(), u))
     spent = 0
-    for size in range(1, g.n + 1):
-        step = comb(g.n, size) * (size + 1)
-        spent += step
+    picks: list[int] = []
+
+    def search(covered: int, start: int, left: int) -> bool:
+        nonlocal spent
+        spent += n
         if spent > budget:
             raise BudgetExceeded("domination_number", spent, budget)
-        for S in itertools.combinations(range(g.n), size):
-            covered = set()
-            for v in S:
-                covered |= balls[v]
-            if covered == universe:
-                return size, S
-    return None, ()
+        if covered == full:
+            return True
+        avail = full >> start << start
+        packed = disjoint = 0
+        # the next pick must lie at or below every undominated vertex's last dominator
+        last = n - 1
+        for u in order:
+            if covered >> u & 1:
+                continue
+            mine = balls[u] & avail
+            if not mine:
+                return False
+            last = min(last, mine.bit_length() - 1)
+            if not mine & packed:
+                packed |= mine
+                disjoint += 1
+                if disjoint > left:
+                    return False
+        for v in range(start, last + 1):
+            picks.append(v)
+            if search(covered | balls[v], v + 1, left - 1):
+                return True
+            picks.pop()
+        return False
 
-
-def _domination_milp(g: Graph, balls: list[set[int]]) -> tuple[int, tuple[int, ...]]:
-    from scipy.optimize import LinearConstraint, milp
-
-    A = np.zeros((g.n, g.n))
-    for v, ball in enumerate(balls):
-        for u in ball:
-            A[u, v] = 1.0
-    res = milp(
-        c=np.ones(g.n),
-        constraints=LinearConstraint(A, lb=np.ones(g.n)),
-        integrality=np.ones(g.n),
-        bounds=(0, 1),
-    )
-    if not res.success:
-        raise RuntimeError(f"milp domination solve failed: {res.message}")
-    witness = tuple(v for v in range(g.n) if res.x[v] > 0.5)
-    return len(witness), witness
+    size = 1
+    while not search(0, 0, size):
+        size += 1
+    return size, tuple(picks)
 
 
 # ---------------------------------------------------------------------------

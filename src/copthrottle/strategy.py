@@ -709,9 +709,7 @@ def staged_decomposition(
         dist_center = distances_from(g, center)
         for ci, comp in enumerate(comps):
             csub, clocal = sub.induced(comp)
-            size, local_wit = domination_number(
-                csub, budget=budget, method="enumerate"
-            )
+            size, local_wit = domination_number(csub, budget=budget)
             targets = tuple(sorted(old_ids[clocal[x]] for x in local_wit))
             comp_targets.append(targets)
             for v_local in comp:

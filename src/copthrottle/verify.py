@@ -598,7 +598,7 @@ def suite_m_ell(
     t0 = time.time()
     g = families.m_ell(ell)
     res.check(g.n == 6 * ell + 8, f"order {g.n} != {6 * ell + 8}", g)
-    gamma, _ = domination_number(g, budget=budget, method="milp")
+    gamma, _ = domination_number(g, budget=budget)
     res.check(gamma == 3 * ell + 4, f"gamma = {gamma} != {3 * ell + 4}", g)
     res.check(cop_number(g, budget=budget) == 2, "cop number != 2", g)
     c2, _ = capt_k(g, 2, budget=budget)

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 import time
 from math import comb
 
@@ -193,16 +196,61 @@ class TestDomination:
         with pytest.raises(ValueError):
             k_distance_dominating(families.empty(3), 1, mode="greedy")
 
-    def test_milp_matches_enumeration(self):
-        for seed in range(8):
-            g = families.random_connected(8, seed)
-            enum_size, _ = domination_number(g, method="enumerate")
-            milp_size, milp_wit = domination_number(g, method="milp")
-            assert enum_size == milp_size
-            assert all(
-                d is not None and d <= 1
-                for d in distances_from_set(g, milp_wit)
-            )
+    @staticmethod
+    def assert_dominates(g, k, size, witness):
+        assert len(witness) == size == len(set(witness))
+        assert all(d is not None and d <= k for d in distances_from_set(g, witness))
+
+    def test_matches_brute_on_all_small_graphs(self):
+        for n in range(1, 6):
+            for g in all_small_graphs(n):
+                for k in (1, 2):
+                    assert domination_number(g, k) == brute_domination(g, k), (n, g.edges(), k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs(max_n=10), st.integers(1, 2))
+    def test_matches_brute_on_random_graphs(self, g, k):
+        assert domination_number(g, k) == brute_domination(g, k)
+
+    def test_known_values_above_enumeration_sizes(self):
+        for n in range(1, 41):
+            for g in [families.path(n)] + ([families.cycle(n)] if n >= 3 else []):
+                size, witness = domination_number(g)
+                assert size == -(-n // 3), g.name
+                self.assert_dominates(g, 1, size, witness)
+        for n in range(1, 21):
+            g = families.attach_leaves(families.random_connected(n, seed=n))
+            size, witness = domination_number(g)
+            assert size == n, g.name
+            self.assert_dominates(g, 1, size, witness)
+        for ell in range(1, 10):
+            g = families.m_ell(ell)
+            size, witness = domination_number(g)
+            assert size == 3 * ell + 4, g.name
+            self.assert_dominates(g, 1, size, witness)
+
+    def test_budget_fails_fast(self):
+        g = families.grid(7, 7)
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceeded) as info:
+            domination_number(g, budget=1000)
+        assert time.perf_counter() - t0 < 0.05
+        assert info.value.required > info.value.budget == 1000
+        assert domination_number(g)[0] == 12
+
+    def test_no_scipy_import(self):
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from copthrottle import families\n"
+            "from copthrottle.graph import domination_number\n"
+            "from copthrottle.verify import run_suite\n"
+            "assert domination_number(families.m_ell(7))[0] == 25\n"
+            "assert run_suite('m-ell', ell=3).failed == 0\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(families.__file__)))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(4, 30), st.integers(1, 3), st.integers(0, 10**6))
