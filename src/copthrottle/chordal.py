@@ -3,9 +3,11 @@ witness on failure, clique decompositions, corner-elimination reductions,
 explicit retractions onto connected induced subgraphs, and the fast
 distance-based capture-time formula with its throttling corollaries.
 
-On a connected chordal graph, capture time for a placement S equals
-max_v d(v, S), so the k-capture time equals the k-radius and the whole
-throttling table collapses to radius computations.
+On a connected chordal graph, max_v d(v, S) is a lower bound on the
+capture time capt(G; S) of a placement S.  It is exact on trees, but not
+for every placement on every chordal graph: the ``chordal-capture``
+verify suite finds counterexamples.  What does hold with equality is
+product throttling, th_c×(G) = 1 + rad(G).
 """
 
 from __future__ import annotations

@@ -493,7 +493,9 @@ def feedback_vertex_number(
     """Minimum number of vertices whose removal leaves a forest, with witness.
 
     Exhaustive search by increasing set size; witness is lexicographically
-    least at the optimal size.
+    least at the optimal size.  Budget unit: comb(n, s)·(n + m) steps
+    (one forest check per s-subset) are charged before size s is scanned,
+    so an over-budget size raises without scanning it.
     """
     if g.is_forest():
         return 0, ()

@@ -66,9 +66,6 @@ class PathRetraction:
     path: tuple[int, ...]
     mapping: dict[int, int]
 
-    def shadow(self, robber: int) -> int:
-        return self.mapping[robber]
-
 
 def path_retraction(g: Graph, p: Sequence[int]) -> PathRetraction:
     """phi(u) = p[min(d(p_0, u), len(p)-1)]; requires p to be a geodesic."""
@@ -91,6 +88,23 @@ def path_retraction(g: Graph, p: Sequence[int]) -> PathRetraction:
 # shadow-chase simulation on one guarded geodesic
 
 
+class _PathChase:
+    """Every cop steps one path vertex toward the robber's shadow."""
+
+    def __init__(self, retraction: PathRetraction):
+        self._path = retraction.path
+        self._pos = {v: i for i, v in enumerate(retraction.path)}
+        self._phi = retraction.mapping
+
+    def initial_state(self):
+        return ()
+
+    def move(self, sstate, cops, robber):
+        pos, path = self._pos, self._path
+        b = pos[self._phi[robber]]
+        return tuple(path[pos[c] + (b > pos[c]) - (b < pos[c])] for c in cops), sstate
+
+
 def shadow_guard_simulate(
     g: Graph, p: Sequence[int], r: int
 ) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
@@ -100,86 +114,19 @@ def shadow_guard_simulate(
     ``p`` and every cop steps one path-vertex toward the current shadow
     each round (the designated stayer on ties is the lowest index, which
     is what the stepping rule produces anyway).  The robber moves in g
-    with exhaustive best response.  Returns (rounds, worst-case trace of
-    (cop path indices, robber vertex) per round).
+    with exhaustive best response.  Returns (rounds, worst-case trace) in
+    :func:`certify_strategy`'s format: (cop vertices, robber vertex)
+    after each half-move.
     """
     retraction = path_retraction(g, p)
-    k = len(p) - 1
-    pos_of = {v: i for i, v in enumerate(p)}
-    starts = tuple(idx - 1 for idx in guard_placement(k, r))
-
-    def shadow_index(robber: int) -> int:
-        return pos_of[retraction.mapping[robber]]
-
-    def step(cops: tuple[int, ...], target: int) -> tuple[int, ...]:
-        return tuple(c + (target > c) - (target < c) for c in cops)
-
-    memo: dict[tuple, float] = {}
-    GRAY = object()
-
-    def value(state: tuple) -> float:
-        stack = [state]
-        while stack:
-            st = stack[-1]
-            got = memo.get(st)
-            if got is not None and got is not GRAY:
-                stack.pop()
-                continue
-            cops, robber = st
-            sh = shadow_index(robber)
-            if got is None:
-                if sh in cops:
-                    memo[st] = 0
-                    stack.pop()
-                    continue
-                cops2 = step(cops, sh)
-                if sh in cops2:
-                    memo[st] = 1
-                    stack.pop()
-                    continue
-                memo[st] = GRAY
-                for r2 in g.closed[robber]:
-                    child = (cops2, r2)
-                    if child not in memo:
-                        stack.append(child)
-                continue
-            # finalize
-            cops2 = step(cops, sh)
-            best = 0.0
-            for r2 in g.closed[robber]:
-                kv = memo.get((cops2, r2))
-                kv = inf if kv is GRAY or kv is None else kv
-                best = max(best, kv)
-            memo[st] = 1 + best
-            stack.pop()
-        return memo[state]
-
-    worst = 0.0
-    worst_start = None
-    for r0 in range(g.n):
-        v = value((starts, r0))
-        if v > worst:
-            worst, worst_start = v, r0
-    if worst == inf:
+    phi = retraction.mapping
+    start = tuple(p[idx - 1] for idx in guard_placement(len(p) - 1, r))
+    rounds, trace = _worst_case(
+        g, start, _PathChase(retraction), lambda cops, robber: phi[robber] in cops
+    )
+    if rounds == inf:
         raise StrategyError("shadow chase fails to guard the path")
-
-    trace: list[tuple[tuple[int, ...], int]] = []
-    if worst_start is not None:
-        cops, robber = starts, worst_start
-        trace.append((cops, robber))
-        while shadow_index(robber) not in cops:
-            cops = step(cops, shadow_index(robber))
-            if shadow_index(robber) in cops:
-                trace.append((cops, robber))
-                break
-            robber = max(
-                g.closed[robber],
-                key=lambda r2: (memo.get((cops, r2), 0), -r2)
-                if memo.get((cops, r2)) is not GRAY
-                else (inf, -r2),
-            )
-            trace.append((cops, robber))
-    return int(worst), trace
+    return int(rounds), trace
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +183,21 @@ def certify_strategy(g: Graph, cert: PlacementCertificate) -> CertificationResul
     a memoized search over robber choices computes the max capture round,
     with reachable cycles meaning the robber survives forever.
     """
-    strat = cert.strategy
+    worst, trace = _worst_case(
+        g, tuple(cert.placement), cert.strategy, lambda cops, robber: robber in cops
+    )
+    valid = worst != inf and worst <= cert.claimed_bound
+    return CertificationResult(valid, worst, trace)
+
+
+def _worst_case(g: Graph, start: tuple[int, ...], strat, caught) -> tuple[float, list]:
+    """Max over robber plays of the rounds until ``caught(cops, robber)``.
+
+    ``strat`` moves the cops from ``start`` and is checked for legality
+    at every reachable state.  Returns (rounds, or inf when the robber
+    can avoid ``caught`` forever; worst-case trace of (cops, robber)
+    after each half-move, empty on inf).
+    """
     closed = g.closed
     closed_sets = [frozenset(c) for c in closed]
 
@@ -255,6 +216,10 @@ def certify_strategy(g: Graph, cert: PlacementCertificate) -> CertificationResul
     memo: dict[tuple, object] = {}
     GRAY = object()
 
+    def known(st: tuple) -> float:
+        got = memo.get(st)
+        return inf if got is None or got is GRAY else got
+
     def value(root: tuple) -> float:
         stack = [root]
         while stack:
@@ -265,12 +230,12 @@ def certify_strategy(g: Graph, cert: PlacementCertificate) -> CertificationResul
                 continue
             cops, robber, ss = st
             if got is None:
-                if robber in cops:
+                if caught(cops, robber):
                     memo[st] = 0.0
                     stack.pop()
                     continue
                 cops2, ss2 = cop_step(ss, cops, robber)
-                if robber in cops2:
+                if caught(cops2, robber):
                     memo[st] = 1.0
                     stack.pop()
                     continue
@@ -281,18 +246,11 @@ def certify_strategy(g: Graph, cert: PlacementCertificate) -> CertificationResul
                         stack.append(child)
                 continue
             cops2, ss2 = cop_step(ss, cops, robber)
-            best = 0.0
-            for r2 in closed[robber]:
-                kv = memo.get((cops2, r2, ss2))
-                kv = inf if kv is None or kv is GRAY else kv
-                best = max(best, kv)
-            memo[st] = 1.0 + best
+            memo[st] = 1.0 + max(known((cops2, r2, ss2)) for r2 in closed[robber])
             stack.pop()
-        out = memo[root]
-        return inf if out is GRAY else float(out)
+        return known(root)
 
     s0 = strat.initial_state()
-    start = tuple(cert.placement)
     worst = 0.0
     worst_start = 0
     for r0 in range(g.n):
@@ -305,23 +263,15 @@ def certify_strategy(g: Graph, cert: PlacementCertificate) -> CertificationResul
         cops, robber, ss = start, worst_start, s0
         trace.append((cops, robber))
         guard = 0
-        while robber not in cops and guard <= worst + 1:
+        while not caught(cops, robber) and guard <= worst + 1:
             guard += 1
             cops, ss = cop_step(ss, cops, robber)
             trace.append((cops, robber))
-            if robber in cops:
+            if caught(cops, robber):
                 break
-
-            def score(r2: int) -> tuple:
-                kv = memo.get((cops, r2, ss))
-                kv = inf if kv is None or kv is GRAY else float(kv)
-                return (kv, -r2)
-
-            robber = max(closed[robber], key=score)
+            robber = max(closed[robber], key=lambda r2: (known((cops, r2, ss)), -r2))
             trace.append((cops, robber))
-
-    valid = worst != inf and worst <= cert.claimed_bound
-    return CertificationResult(valid, worst, trace)
+    return worst, trace
 
 
 # ---------------------------------------------------------------------------

@@ -186,7 +186,6 @@ def suite_chordal_capture(
     counterexamples on any honest corpus.
     """
     res = SuiteResult("chordal-capture")
-    t0 = time.time()
     for i, g in enumerate(chordal_corpus(count, max_n, seed)):
         rng = random.Random(f"{seed}:placements:{i}")
         tables = {}
@@ -202,7 +201,6 @@ def suite_chordal_capture(
                 f"graph {i} ({g.name}): capt(G;{S}) = {exact} but max distance = {fast}",
                 g,
             )
-    res.elapsed = time.time() - t0
     return res
 
 
@@ -215,7 +213,6 @@ def suite_boundary_corners(
     counterexamples behind chordal-capture's failures.
     """
     res = SuiteResult("boundary-corners")
-    t0 = time.time()
     for i, g in enumerate(chordal_corpus(count, max_n, seed)):
         ok = True
         witness = ""
@@ -229,7 +226,6 @@ def suite_boundary_corners(
             if not ok:
                 break
         res.check(ok, f"graph {i} ({g.name}): {witness}", g)
-    res.elapsed = time.time() - t0
     return res
 
 
@@ -238,7 +234,6 @@ def suite_prod_chordal(
 ) -> SuiteResult:
     """th_prod(G) == 1 + rad(G) on random connected chordal graphs."""
     res = SuiteResult("prod-chordal")
-    t0 = time.time()
     for i, g in enumerate(chordal_corpus(count, max_n, seed)):
         rep = throttling_report(g, budget=budget)
         rad, _ = radius_and_center(g)
@@ -247,7 +242,6 @@ def suite_prod_chordal(
             f"graph {i} ({g.name}): th_prod = {rep.th_prod}, 1+rad = {1 + rad}",
             g,
         )
-    res.elapsed = time.time() - t0
     return res
 
 
@@ -257,7 +251,6 @@ def suite_prop_bounds(
     """th_c <= th_prod <= floor((th_c+1)^2/4), th_prod <= min(2*gamma, n), and
     the equality-iff-one-or-n-cops remark, over the mixed corpus."""
     res = SuiteResult("prop-bounds")
-    t0 = time.time()
     for g in mixed_corpus(count, max_n, seed):
         rep = throttling_report(g, budget=budget)
         q = rep.th_sum
@@ -278,7 +271,6 @@ def suite_prop_bounds(
             f"{g.name}: th_prod==th_c is {rep.th_prod == q} but extreme-k attainment is {attained_extreme}",
             g,
         )
-    res.elapsed = time.time() - t0
     return res
 
 
@@ -287,7 +279,6 @@ def suite_low_thcx(
 ) -> SuiteResult:
     """classify_thprod_low agrees with the exact product throttling number."""
     res = SuiteResult("low-thcx")
-    t0 = time.time()
     for g in mixed_corpus(count, max_n, seed):
         cls = classify_thprod_low(g, budget=budget)
         rep = throttling_report(g, budget=budget)
@@ -305,7 +296,6 @@ def suite_low_thcx(
             )
         if cls.ambiguous_3b:
             res.details.append(f"note: {g.name} flags the 3(b) reading ambiguity")
-    res.elapsed = time.time() - t0
     return res
 
 
@@ -314,7 +304,6 @@ def suite_iq(
 ) -> SuiteResult:
     """The I(q) proposition is an iff; holds must be true everywhere."""
     res = SuiteResult("iq")
-    t0 = time.time()
     for g in mixed_corpus(count, max_n, seed):
         chk = check_iq_proposition(g, budget=budget)
         res.check(
@@ -322,7 +311,6 @@ def suite_iq(
             f"{g.name}: left={chk.left} right={chk.right} (q={chk.q}, th_prod={chk.th_prod})",
             g,
         )
-    res.elapsed = time.time() - t0
     return res
 
 
@@ -340,7 +328,6 @@ def suite_outerplanar(
     graphs on <= 5 vertices exhaustively plus seeded samples on 6..max_n.
     """
     res = SuiteResult("outerplanar")
-    t0 = time.time()
     graphs: list[Graph] = []
     if graph6_path:
         with open(graph6_path, "r", encoding="utf-8") as fh:
@@ -368,7 +355,6 @@ def suite_outerplanar(
             f"outerplanar n={g.n} edges={g.edges()}: cop-win={copwin}, chordal={chordal}",
             g,
         )
-    res.elapsed = time.time() - t0
     return res
 
 
@@ -377,7 +363,6 @@ def suite_meirmoon(
 ) -> SuiteResult:
     """Greedy k-distance domination respects gamma_k <= floor(n/(k+1))."""
     res = SuiteResult("meirmoon")
-    t0 = time.time()
     for g in mixed_corpus(count, max_n, seed):
         if not g.is_connected():
             continue
@@ -393,7 +378,6 @@ def suite_meirmoon(
                 f" or fails to cover",
                 g,
             )
-    res.elapsed = time.time() - t0
     return res
 
 
@@ -403,7 +387,6 @@ def suite_tree_bound(
     """Radius-based throttling respects ceil(sqrt n)+floor(sqrt n)-1 <= 2*floor(sqrt n)
     on trees up to n=144, and the exact engine confirms the bound at desk scale."""
     res = SuiteResult("tree-bound")
-    t0 = time.time()
     for g in tree_corpus(count, max_n, seed):
         bound = sqrt_ceil(g.n) + isqrt(g.n) - 1
         # small budget: large trees go straight to the greedy certified bound
@@ -420,7 +403,6 @@ def suite_tree_bound(
                 f"{g.name}: engine th_c {rep.th_sum} vs radius-based {ct.th_sum}, bound {bound}",
                 g,
             )
-    res.elapsed = time.time() - t0
     return res
 
 
@@ -429,7 +411,6 @@ def suite_guard_lemma(
 ) -> SuiteResult:
     """Guard placements cover within r, guard within r rounds, and are sharp."""
     res = SuiteResult("guard-lemma")
-    t0 = time.time()
     for k in range(0, max_n + 1):
         for r in range(1, 6):
             posts = guard_placement(k, r)
@@ -455,7 +436,6 @@ def suite_guard_lemma(
                     f"k={k} r={r}: shadow chase took {rounds} > {r} rounds",
                     g,
                 )
-    res.elapsed = time.time() - t0
     return res
 
 
@@ -465,7 +445,6 @@ def suite_corner_sandwich(
     """capt(G-C;S) <= capt(G;S) <= capt(G-C;S)+1 with C the boundary
     vertices of a random vertex, S random placements avoiding C."""
     res = SuiteResult("corner-sandwich")
-    t0 = time.time()
     for i, g in enumerate(chordal_corpus(count, max_n, seed)):
         rng = random.Random(f"{seed}:sandwich:{i}")
         v = rng.randrange(g.n)
@@ -489,7 +468,6 @@ def suite_corner_sandwich(
                 f"graph {i} ({g.name}) v={v} S={S}: capt(G)={vG}, capt(G-C)={vH}",
                 g,
             )
-    res.elapsed = time.time() - t0
     return res
 
 
@@ -498,7 +476,6 @@ def suite_unicyclic_bound(
 ) -> SuiteResult:
     """Feedback certificates on unicyclic graphs: valid and cost <= 2*sqrt(n)+1."""
     res = SuiteResult("unicyclic-bound")
-    t0 = time.time()
     for g in unicyclic_corpus(count, max_n, seed):
         cert = feedback_bound(g, budget=budget)
         outcome = certify_strategy(g, cert)
@@ -512,7 +489,6 @@ def suite_unicyclic_bound(
             f"bound={2 * math.sqrt(g.n) + 1:.2f} engine={engine_val}",
             g,
         )
-    res.elapsed = time.time() - t0
     return res
 
 
@@ -521,7 +497,6 @@ def suite_certificates(
 ) -> SuiteResult:
     """Every produced certificate validates and dominates the exact engine value."""
     res = SuiteResult("certificates")
-    t0 = time.time()
 
     def check_cert(g: Graph, cert: PlacementCertificate, label: str):
         outcome = certify_strategy(g, cert)
@@ -542,7 +517,6 @@ def suite_certificates(
         radius = max(1, sqrt_ceil(g.n) - 1)
         cops = k_distance_dominating(g, radius, mode="greedy")
         check_cert(g, ball_cover_strategy(g, cops, radius, budget=budget), "ball-cover")
-    res.elapsed = time.time() - t0
     return res
 
 
@@ -555,7 +529,6 @@ def suite_star_lemma(
     and t - t^alpha/(k(1-alpha)) = 5 > 4, so th_c(G') <= k*sqrt(t) = 4.5.
     """
     res = SuiteResult("star-lemma")
-    t0 = time.time()
     base = families.path(4)
     for i in range(count):
         rng = random.Random(f"{seed}:star:{i}")
@@ -569,14 +542,12 @@ def suite_star_lemma(
             f"S(P4) sample {i} anchors {sorted(anchors)}: th_c = {rep.th_sum} > 4",
             g,
         )
-    res.elapsed = time.time() - t0
     return res
 
 
 def suite_lambert(seed: int = 42, count: int = 60, **_) -> SuiteResult:
     """|W(x) e^W(x) - x| <= 1e-12 on a 60-point grid in [0.1, 1e6]."""
     res = SuiteResult("lambert")
-    t0 = time.time()
     with mp.workdps(40):
         tol = mp.mpf("1e-12")
         for i in range(count):
@@ -586,7 +557,6 @@ def suite_lambert(seed: int = 42, count: int = 60, **_) -> SuiteResult:
             res.check(resid <= tol, f"x={float(x):.6g}: residual {float(resid):.3g}")
         res.check(lambert_w(0) == 0, "W(0) != 0")
         res.check(abs(lambert_w(mp.e) - 1) <= tol, "W(e) != 1")
-    res.elapsed = time.time() - t0
     return res
 
 
@@ -595,7 +565,6 @@ def suite_m_ell(
 ) -> SuiteResult:
     """The M(ell) separation: th_prod unattainable at both c(G) and gamma(G) sizes."""
     res = SuiteResult("m-ell")
-    t0 = time.time()
     g = families.m_ell(ell)
     res.check(g.n == 6 * ell + 8, f"order {g.n} != {6 * ell + 8}", g)
     gamma, _ = domination_number(g, budget=budget)
@@ -636,7 +605,6 @@ def suite_m_ell(
             res.check(2 * (1 + c2) >= 20, f"k=2 sweep gives {2 * (1 + c2)} < 20", g)
             res.check(3 * (1 + c3) <= 18, f"3-cop placement gives {3 * (1 + c3)} > 18", g)
             res.check(gamma == 25, f"gamma(M(7)) = {gamma} != 25", g)
-    res.elapsed = time.time() - t0
     return res
 
 
@@ -664,4 +632,7 @@ def run_suite(name: str, **kwargs) -> SuiteResult:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     kwargs = {k: v for k, v in kwargs.items() if v is not None}
-    return SUITES[name](**kwargs)
+    t0 = time.perf_counter()
+    res = SUITES[name](**kwargs)
+    res.elapsed = time.perf_counter() - t0
+    return res

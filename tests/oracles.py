@@ -2,14 +2,16 @@
 
 Everything here is deliberately naive and shares no code path with the
 library: a depth-capped minimax game solver, a full-table value iteration
-over team moves, brute-force radius (with its least witness) and
-domination, and bisection for the Lambert W function.
+over team moves, value iteration under one fixed cop strategy,
+brute-force radius (with its least witness) and domination, and
+bisection for the Lambert W function.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections import deque
 
 import mpmath as mp
@@ -80,6 +82,80 @@ def reference_table(g, k):
             return value
         for c, r in fresh:
             value[c][r] = t
+
+
+def fixed_strategy_worst_case(g, placement, strategy, caught):
+    """Worst case over robber plays against one deterministic cop strategy.
+
+    A round is the cops' ``strategy.move`` followed by one robber step in
+    the closed neighbourhood; the game ends once ``caught(cops, robber)``
+    holds, checked before and after the cops move.  Every (cops, robber,
+    strategy state) triple reachable from the placement is collected
+    first, then plain value iteration runs to a fixpoint from "unknown"
+    everywhere.  States that never resolve are robber wins: math.inf.
+    """
+    closed = [tuple(sorted(set(g.adj[v]) | {v})) for v in range(g.n)]
+    s0 = strategy.initial_state()
+    roots = [(tuple(placement), r, s0) for r in range(g.n)]
+    step = {}  # non-terminal state -> (cops' move caught the robber, successors)
+    seen, frontier = set(roots), list(roots)
+    while frontier:
+        cops, robber, ss = state = frontier.pop()
+        if caught(cops, robber):
+            continue
+        cops2, ss2 = strategy.move(ss, cops, robber)
+        cops2 = tuple(cops2)
+        if caught(cops2, robber):
+            step[state] = (True, ())
+            continue
+        succ = tuple((cops2, r2, ss2) for r2 in closed[robber])
+        step[state] = (False, succ)
+        for nxt in succ:
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    value = {st: (math.inf if st in step else 0) for st in seen}
+    while True:
+        new = {
+            st: 1 if hit else 1 + max(value[x] for x in succ)
+            for st, (hit, succ) in step.items()
+        }
+        if all(new[st] == value[st] for st in step):
+            return max((value[st] for st in roots), default=0)
+        value.update(new)
+
+
+class PathChase:
+    """Cops on a geodesic p each step one path vertex toward the shadow.
+
+    The shadow of u is p[min(d(p[0], u), len(p) - 1)], from BFS.
+    """
+
+    def __init__(self, g, p):
+        dist = bfs_from_set(g, [p[0]])
+        self.path = tuple(p)
+        self.pos = {v: i for i, v in enumerate(p)}
+        self.phi = {u: p[min(dist[u], len(p) - 1)] for u in range(g.n)}
+
+    def initial_state(self):
+        return ()
+
+    def move(self, sstate, cops, robber):
+        target = self.pos[self.phi[robber]]
+        out = []
+        for c in cops:
+            i = self.pos[c]
+            out.append(self.path[i + 1 if target > i else i - 1 if target < i else i])
+        return tuple(out), sstate
+
+    def caught(self, cops, robber):
+        return self.phi[robber] in cops
+
+    def posts(self, r):
+        """Guard posts p[r], p[3r+1], ... every 2r+1 vertices, the last clamped."""
+        last = len(self.path) - 1
+        count = -(-len(self.path) // (2 * r + 1))
+        return tuple(self.path[min(last, r + (2 * r + 1) * j)] for j in range(count))
 
 
 def brute_rad_k(g, k):

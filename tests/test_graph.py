@@ -334,6 +334,17 @@ class TestFeedback:
         with pytest.raises(BudgetExceeded):
             feedback_vertex_number(families.complete(9), budget=10)
 
+    def test_budget_fails_fast(self):
+        # size 1 alone is charged comb(25, 1) * (25 + 40) = 1625 steps
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceeded) as err:
+            feedback_vertex_number(families.grid(5, 5), budget=1000)
+        assert time.perf_counter() - t0 < 0.05
+        assert err.value.required > err.value.budget == 1000
+
+    def test_petersen_default_budget(self):
+        assert feedback_vertex_number(families.petersen()) == (3, (0, 2, 8))
+
 
 class TestOuterplanar:
     def test_forbidden_minors_themselves(self):
