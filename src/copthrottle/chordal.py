@@ -304,7 +304,7 @@ def chordal_throttling(
             witness = w
     if not exact:
         k = max(sqrt_ceil(g.n) - 1, 1)
-        greedy = k_distance_dominating(g, k, mode="greedy")
+        greedy = k_distance_dominating(g, k)
         reach = max_distance(g, greedy)
         assert reach is not None and reach <= k
         if len(greedy) + reach < best:

@@ -24,7 +24,7 @@ from .engine import (
     solve_k,
     value_to_json,
 )
-from .families import generate_named
+from .families import _FAMILY_PARAMS, generate_named
 from .graph import BudgetExceeded, DEFAULT_BUDGET, Graph, radius_and_center
 from .graphio import GraphFormatError, format_graph, load_graph
 from .throttling import throttling_report
@@ -162,15 +162,13 @@ def cmd_analyze(args) -> int:
 
 def cmd_generate(args) -> int:
     if args.list:
-        from .families import _FAMILY_PARAMS
-
         for name, params in sorted(_FAMILY_PARAMS.items()):
             print(f"{name}({', '.join(params)})" if params else f"{name}()")
         return EXIT_OK
     if not args.family:
         raise CliInputError("generate needs --family (or --list)")
     params = _parse_params(args.param)
-    if args.seed and "seed" not in params and "seed" in _family_param_names(args.family):
+    if args.seed and "seed" not in params and "seed" in _FAMILY_PARAMS.get(args.family.lower(), ()):
         params["seed"] = args.seed
     try:
         g = generate_named(args.family, params)
@@ -245,143 +243,103 @@ def cmd_play(args) -> int:
     print(f"Cops and Robbers on {g.name or 'graph'} (n={g.n}), {k} cop(s); "
           f"you play the {'robber' if human_robber else 'cops'}.")
 
-    def read_command(prompt: str) -> list[str]:
+    if human_robber:
+        value, cops = capt_k(g, k, table=table)
+        if cops is None:
+            cops = canonical_config(tuple(range(min(k, g.n))) + (0,) * max(0, k - g.n))
+        print(f"cops open at {_spaced(cops)} (game value {value_to_json(value)})")
+        start = _read_move("choose your start: move v> ", "move", 1, lambda vs: vs[0] < g.n,
+                           f"vertex out of range; pick one of 0..{g.n - 1}",
+                           "say: move v   (or quit)")
+        if start is None:
+            return EXIT_OK
+        robber = start[0]
+    else:
+        placed = _read_move(f"place your {k} cop(s): place v1 ... vk> ", "place", k,
+                            lambda vs: all(v < g.n for v in vs),
+                            f"vertices must be in 0..{g.n - 1}", f"say: place v1 ... v{k}")
+        if placed is None:
+            return EXIT_OK
+        cops = canonical_config(placed)
+        row = [table.state_value(cops, r) for r in range(g.n)]
+        robber = row.index(max(row))
+        print(f"robber starts at {robber} (game value {value_to_json(max(row))})")
+
+    rounds = 0
+    while robber not in cops:
+        if human_robber:
+            cops = optimal_moves(g, table, GameState(cops, robber), "cops")[0]
+            print(f"round {rounds + 1}: cops move to {_spaced(cops)}")
+        else:
+            moved = _read_move(
+                f"round {rounds + 1}: your cops at {_spaced(cops)}; move v1 ... vk> ", "move", k,
+                lambda vs: _team_move_legal(g, cops, canonical_config(vs)),
+                "illegal team move; each cop may stay or step to a neighbor\n"
+                f"your cops: {_spaced(cops)}",
+                f"say: move v1 ... v{k}  (or hint / value / quit)",
+                value=lambda: table.state_value(cops, robber),
+                hint=lambda: "optimal cop moves: " + "; ".join(
+                    map(_spaced, optimal_moves(g, table, GameState(cops, robber), "cops")[:5])),
+            )
+            if moved is None:
+                break
+            cops = canonical_config(moved)
+        rounds += 1
+        if robber in cops:
+            break
+        if human_robber:
+            moved = _read_move(
+                f"robber at {robber}; move v> ", "move", 1, lambda vs: vs[0] in g.closed[robber],
+                f"illegal move; legal: {_spaced(g.closed[robber])}",
+                "say: move v  (or hint / value / quit)",
+                value=lambda: max(table.state_value(cops, r) for r in g.closed[robber]),
+                hint=lambda: "optimal robber moves: "
+                + _spaced(optimal_moves(g, table, GameState(cops, robber), "robber")),
+            )
+            if moved is None:
+                break
+            robber = moved[0]
+        else:
+            robber = optimal_moves(g, table, GameState(cops, robber), "robber")[0]
+            print(f"robber moves to {robber}")
+    if robber in cops:
+        print(f"capture! robber caught at {robber} after {rounds} round(s).")
+    else:
+        print(f"game abandoned after {rounds} round(s).")
+    return EXIT_OK
+
+
+def _read_move(prompt: str, verb: str, count: int, legal, refusal: str, usage: str,
+               value=None, hint=None) -> Optional[list[int]]:
+    """Prompt until a line ``verb v1 ... v<count>`` passes ``legal``; return
+    its vertices, or None on ``quit`` or end of input.  ``value`` and
+    ``hint``, where given, answer those words; elsewhere they get ``usage``."""
+    while True:
         print(prompt, end="", flush=True)
         line = sys.stdin.readline()
         if not line:
-            return ["quit"]
+            return None
         print(line.rstrip("\n"))
-        return line.split()
-
-    if human_robber:
-        value, cops = capt_k(g, k, budget=args.budget)
-        if cops is None:
-            cops = canonical_config(tuple(range(min(k, g.n))) + (0,) * max(0, k - g.n))
-        print(f"cops open at {' '.join(map(str, cops))} "
-              f"(game value {value_to_json(value)})")
-        robber = None
-        while robber is None:
-            words = read_command("choose your start: move v> ")
-            if not words:
-                continue
-            if words[0] == "quit":
-                return EXIT_OK
-            if words[0] == "move" and len(words) == 2 and words[1].isdigit():
-                v = int(words[1])
-                if 0 <= v < g.n:
-                    robber = v
-                else:
-                    print(f"vertex out of range; pick one of 0..{g.n - 1}")
-            else:
-                print("say: move v   (or quit)")
-    else:
-        cops = None
-        while cops is None:
-            words = read_command(f"place your {k} cop(s): place v1 ... vk> ")
-            if not words:
-                continue
-            if words[0] == "quit":
-                return EXIT_OK
-            if words[0] == "place" and len(words) == k + 1 and all(w.isdigit() for w in words[1:]):
-                vs = [int(w) for w in words[1:]]
-                if all(0 <= v < g.n for v in vs):
-                    cops = canonical_config(vs)
-                else:
-                    print(f"vertices must be in 0..{g.n - 1}")
-            else:
-                print(f"say: place v1 ... v{k}")
-        row = [table.state_value(cops, r) for r in range(g.n)]
-        best = max(row)
-        robber = row.index(best)
-        print(f"robber starts at {robber} (game value {value_to_json(best)})")
-
-    rounds = 0
-    while True:
-        if robber in cops:
-            print(f"capture! robber caught at {robber} after {rounds} round(s).")
-            return EXIT_OK
-        # cop half-move
-        state = GameState(tuple(cops), robber)
-        if human_robber:
-            cops = optimal_moves(g, table, state, "cops")[0]
-            rounds += 1
-            print(f"round {rounds}: cops move to {' '.join(map(str, cops))}")
-            if robber in cops:
-                print(f"capture! robber caught at {robber} after {rounds} round(s).")
-                return EXIT_OK
+        words = line.split()
+        if not words:
+            continue
+        if words[0] == "quit":
+            return None
+        if words[0] == "value" and value is not None:
+            print(f"value: {value_to_json(value())}")
+        elif words[0] == "hint" and hint is not None:
+            print(hint())
+        elif words[0] == verb and len(words) == count + 1 and all(w.isdigit() for w in words[1:]):
+            vs = [int(w) for w in words[1:]]
+            if legal(vs):
+                return vs
+            print(refusal)
         else:
-            moved = None
-            while moved is None:
-                words = read_command(f"round {rounds + 1}: your cops at "
-                                     f"{' '.join(map(str, cops))}; move v1 ... vk> ")
-                if not words:
-                    continue
-                if words[0] == "quit":
-                    print(f"game abandoned after {rounds} round(s).")
-                    return EXIT_OK
-                if words[0] == "value":
-                    print(f"value: {value_to_json(table.state_value(cops, robber))}")
-                    continue
-                if words[0] == "hint":
-                    hints = optimal_moves(g, table, state, "cops")
-                    print("optimal cop moves: " + "; ".join(" ".join(map(str, h)) for h in hints[:5]))
-                    continue
-                if words[0] == "move" and len(words) == k + 1 and all(w.isdigit() for w in words[1:]):
-                    vs = [int(w) for w in words[1:]]
-                    cand = canonical_config(vs)
-                    legal = all(0 <= v < g.n for v in vs) and _team_move_legal(g, cops, cand)
-                    if legal:
-                        moved = cand
-                    else:
-                        print("illegal team move; each cop may stay or step to a neighbor")
-                        print(f"your cops: {' '.join(map(str, cops))}")
-                else:
-                    print(f"say: move v1 ... v{k}  (or hint / value / quit)")
-            cops = moved
-            rounds += 1
-            if robber in cops:
-                print(f"capture! robber caught at {robber} after {rounds} round(s).")
-                return EXIT_OK
-        # robber half-move
-        state = GameState(tuple(cops), robber)
-        if human_robber:
-            moved_r = None
-            while moved_r is None:
-                words = read_command(f"robber at {robber}; move v> ")
-                if not words:
-                    continue
-                if words[0] == "quit":
-                    print(f"game abandoned after {rounds} round(s).")
-                    return EXIT_OK
-                if words[0] == "value":
-                    vals = [table.state_value(cops, r2) for r2 in g.closed[robber]]
-                    print(f"value: {value_to_json(max(vals))}")
-                    continue
-                if words[0] == "hint":
-                    hints = optimal_moves(g, table, state, "robber")
-                    print("optimal robber moves: " + " ".join(map(str, hints)))
-                    continue
-                if words[0] == "move" and len(words) == 2 and words[1].isdigit():
-                    v = int(words[1])
-                    if 0 <= v < g.n and v in g.closed[robber]:
-                        moved_r = v
-                    else:
-                        print(f"illegal move; legal: {' '.join(map(str, g.closed[robber]))}")
-                else:
-                    print("say: move v  (or hint / value / quit)")
-            robber = moved_r
-        else:
-            robber = optimal_moves(g, table, state, "robber")[0]
-            print(f"robber moves to {robber}")
-        if robber in cops:
-            print(f"capture! robber caught at {robber} after {rounds} round(s).")
-            return EXIT_OK
+            print(usage)
 
 
-def _family_param_names(family: str) -> tuple[str, ...]:
-    from .families import _FAMILY_PARAMS
-
-    return _FAMILY_PARAMS.get(family.lower(), ())
+def _spaced(vertices) -> str:
+    return " ".join(map(str, vertices))
 
 
 def _team_move_legal(g: Graph, cops: tuple[int, ...], target: tuple[int, ...]) -> bool:

@@ -79,6 +79,7 @@ class SolveTable:
         self.values = values
 
     def state_value(self, cops: Iterable[int], robber: int) -> GameValue:
+        self.graph.check_vertex(robber)
         config = canonical_config(cops)
         if config not in self.index:
             raise KeyError(f"state {config} not present in this table (k={self.k})")

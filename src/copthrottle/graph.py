@@ -92,9 +92,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.nbr[u]
 
-    def closed_nbr(self, v: int) -> frozenset[int]:
-        return self.nbr[v] | {v}
-
     def check_vertex(self, v: int) -> int:
         if not (0 <= v < self.n):
             raise ValueError(f"vertex {v} out of range for n={self.n}")
@@ -292,27 +289,20 @@ def k_radius_exact(
     return best, witness
 
 
-def k_distance_dominating(
-    g: Graph, k: int, mode: str = "greedy", budget: int = DEFAULT_BUDGET
-) -> tuple[int, ...]:
-    """A set S with d(v, S) <= k for every vertex v.
+def k_distance_dominating(g: Graph, k: int) -> tuple[int, ...]:
+    """A set S with d(v, S) <= k for every vertex v, found greedily.
 
-    ``exact`` is :func:`domination_number`'s witness (the lexicographically
-    least minimum set).  ``greedy`` walks a BFS spanning tree, repeatedly
-    taking the k-th ancestor of a deepest remaining vertex and discarding
-    its subtree; for connected G with n >= k+1 this yields at most
-    floor(n/(k+1)) vertices.
+    Walks a BFS spanning tree, repeatedly taking the k-th ancestor of a
+    deepest remaining vertex and discarding its subtree; for connected G
+    with n >= k+1 this yields at most floor(n/(k+1)) vertices.  A minimum
+    set is :func:`domination_number`'s witness.
     """
     if k < 1:
         raise ValueError("k must be positive")
     if g.n == 0:
         return ()
-    if mode == "exact":
-        return domination_number(g, k, budget=budget)[1]
-    if mode != "greedy":
-        raise ValueError(f"unknown mode {mode!r}")
     if not g.is_connected():
-        raise ValueError("greedy mode requires a connected graph")
+        raise ValueError("k_distance_dominating requires a connected graph")
     parent, depth, order = bfs_tree(g, 0)
     children: list[list[int]] = [[] for _ in range(g.n)]
     for v in range(g.n):

@@ -426,7 +426,7 @@ def feedback_bound(g: Graph, budget: int = DEFAULT_BUDGET) -> PlacementCertifica
     assert tree.is_forest() and tree.is_connected()
 
     k = max(1, sqrt_ceil(g.n) - 1)
-    dom = k_distance_dominating(tree, k, mode="greedy")
+    dom = k_distance_dominating(tree, k)
     chasers = [_build_chaser(g, tree, c, k) for c in dom]
     strat = ShadowChaseStrategy(g, chasers, tuple(sorted(fs)))
     claimed = max((ch.bound for ch in chasers), default=0)

@@ -190,7 +190,6 @@ class ThrottlingPoint:
 def throttling_points(
     g: Graph,
     report: Optional[ThrottlingReport] = None,
-    k_max: Optional[int] = None,
     budget: int = DEFAULT_BUDGET,
 ) -> list[ThrottlingPoint]:
     """All achievable (k, p) pairs for k up to th_c(G), with minimality flags.
@@ -200,9 +199,8 @@ def throttling_points(
     """
     if report is None:
         report = throttling_report(g, budget=budget)
-    bound = min(g.n, report.th_sum if k_max is None else k_max)
     points: list[ThrottlingPoint] = []
-    for k in range(1, bound + 1):
+    for k in range(1, min(g.n, report.th_sum) + 1):
         table = solve_k(g, k, budget=budget)
         values = table.placement_values()
         # distinct finite values in increasing order; np.unique would import numpy.ma

@@ -369,7 +369,7 @@ def suite_meirmoon(
         for k in range(1, 5):
             if g.n < k + 1:
                 continue
-            S = k_distance_dominating(g, k, mode="greedy")
+            S = k_distance_dominating(g, k)
             dist = distances_from_set(g, S)
             covered = all(d is not None and d <= k for d in dist)
             res.check(
@@ -515,7 +515,7 @@ def suite_certificates(
         check_cert(g, feedback_bound(g, budget=budget), "feedback")
     for i, g in enumerate(chordal_corpus(count, max_n, seed)):
         radius = max(1, sqrt_ceil(g.n) - 1)
-        cops = k_distance_dominating(g, radius, mode="greedy")
+        cops = k_distance_dominating(g, radius)
         check_cert(g, ball_cover_strategy(g, cops, radius, budget=budget), "ball-cover")
     return res
 

@@ -165,3 +165,47 @@ class TestPlay:
             stdin="move 0\nhint\nmove 0\n", monkeypatch=monkeypatch,
         )
         assert code == EXIT_OK and "optimal robber moves" in out
+
+    def play_c4_cops(self, capsys, monkeypatch, cops, stdin):
+        code, out, _ = run_cli(
+            capsys, "play", "--family", "cycle", "--param", "n=4",
+            "--cops", str(cops), "--as", "cops", stdin=stdin, monkeypatch=monkeypatch,
+        )
+        assert code == EXIT_OK
+        return out.splitlines()
+
+    def test_team_move_needs_unsorted_pairing(self, capsys, monkeypatch):
+        # 0 2 -> 2 3 is legal only as 0->3, 2->2; the sorted pairing 0->2 is not
+        lines = self.play_c4_cops(capsys, monkeypatch, 2, "place 0 2\nmove 2 3\nquit\n")
+        assert lines[3:] == [
+            "round 1: your cops at 0 2; move v1 ... vk> move 2 3",
+            "robber moves to 0",
+            "round 2: your cops at 2 3; move v1 ... vk> quit",
+            "game abandoned after 1 round(s).",
+        ]
+
+    def test_illegal_team_move_refused(self, capsys, monkeypatch):
+        lines = self.play_c4_cops(capsys, monkeypatch, 2, "place 0 2\nmove 0 0\nquit\n")
+        assert lines[3:] == [
+            "round 1: your cops at 0 2; move v1 ... vk> move 0 0",
+            "illegal team move; each cop may stay or step to a neighbor",
+            "your cops: 0 2",
+            "round 1: your cops at 0 2; move v1 ... vk> quit",
+            "game abandoned after 0 round(s).",
+        ]
+
+    def test_cops_on_every_vertex_capture_at_once(self, capsys, monkeypatch):
+        lines = self.play_c4_cops(capsys, monkeypatch, 4, "place 0 1 2 3\n")
+        assert lines == [
+            "Cops and Robbers on C4 (n=4), 4 cop(s); you play the cops.",
+            "place your 4 cop(s): place v1 ... vk> place 0 1 2 3",
+            "robber starts at 0 (game value 0)",
+            "capture! robber caught at 0 after 0 round(s).",
+        ]
+
+    def test_end_of_input_abandons(self, capsys, monkeypatch):
+        lines = self.play_c4_cops(capsys, monkeypatch, 2, "place 0 2\nmove 2 3\n")
+        assert lines[-2:] == [
+            "robber moves to 0",
+            "round 2: your cops at 2 3; move v1 ... vk> game abandoned after 1 round(s).",
+        ]

@@ -72,6 +72,13 @@ class TestSolvePlacement:
             solve_k(families.path(20), 6)
         assert time.perf_counter() - t0 < 1.0
 
+    def test_state_value_rejects_out_of_range_robber(self):
+        table = solve_k(families.path(5), 1)
+        assert table.state_value((0,), 4) == 4
+        for robber in (-1, 5):
+            with pytest.raises(ValueError, match="out of range"):
+                table.state_value((0,), robber)
+
     def test_table_json_export(self):
         _, table = solve_placement(families.path(3), (1,))
         rows = table.to_json_obj()

@@ -181,20 +181,20 @@ class TestKRadius:
 
 class TestDomination:
     def test_greedy_respects_meir_moon(self):
-        s = k_distance_dominating(families.path(9), 2, mode="greedy")
+        s = k_distance_dominating(families.path(9), 2)
         assert len(s) <= 3
         assert all(d <= 2 for d in distances_from_set(families.path(9), s))
 
     def test_exact_clique(self):
-        assert k_distance_dominating(families.complete(5), 1, mode="exact") == (0,)
+        assert domination_number(families.complete(5), 1)[1] == (0,)
 
     def test_exact_p9_lex_least(self):
-        assert k_distance_dominating(families.path(9), 1, mode="exact") == (1, 4, 7)
+        assert domination_number(families.path(9), 1)[1] == (1, 4, 7)
         assert brute_domination(families.path(9), 1)[0] == 3
 
     def test_greedy_needs_connected(self):
         with pytest.raises(ValueError):
-            k_distance_dominating(families.empty(3), 1, mode="greedy")
+            k_distance_dominating(families.empty(3), 1)
 
     @staticmethod
     def assert_dominates(g, k, size, witness):
@@ -258,7 +258,7 @@ class TestDomination:
         g = families.random_tree(n, seed)
         if n < k + 1:
             return
-        s = k_distance_dominating(g, k, mode="greedy")
+        s = k_distance_dominating(g, k)
         assert len(s) <= n // (k + 1)
         assert all(d is not None and d <= k for d in distances_from_set(g, s))
 
