@@ -329,7 +329,7 @@ def _read_move(prompt: str, verb: str, count: int, legal, refusal: str, usage: s
             print(f"value: {value_to_json(value())}")
         elif words[0] == "hint" and hint is not None:
             print(hint())
-        elif words[0] == verb and len(words) == count + 1 and all(w.isdigit() for w in words[1:]):
+        elif words[0] == verb and len(words) == count + 1 and all(w.isdecimal() for w in words[1:]):
             vs = [int(w) for w in words[1:]]
             if legal(vs):
                 return vs

@@ -43,6 +43,11 @@ def value_to_json(value: GameValue) -> int | str:
     return "inf" if value == ROBBER_WINS else int(value)
 
 
+def _table_value(raw) -> GameValue:
+    """A table entry as a game value: TABLE_INF or above is a robber win."""
+    return ROBBER_WINS if raw >= TABLE_INF else int(raw)
+
+
 def canonical_config(positions: Iterable[int]) -> tuple[int, ...]:
     """Canonical (sorted, non-decreasing) cop multiset."""
     config = tuple(sorted(int(v) for v in positions))
@@ -83,16 +88,14 @@ class SolveTable:
         config = canonical_config(cops)
         if config not in self.index:
             raise KeyError(f"state {config} not present in this table (k={self.k})")
-        raw = int(self.values[self.index[config], robber])
-        return ROBBER_WINS if raw >= int(TABLE_INF) else raw
+        return _table_value(self.values[self.index[config], robber])
 
     def placement_value(self, cops: Iterable[int]) -> GameValue:
         """capt(G; S): worst robber start against this placement."""
         config = canonical_config(cops)
         if config not in self.index:
             raise KeyError(f"placement {config} not present in this table (k={self.k})")
-        raw = int(self.values[self.index[config]].max())
-        return ROBBER_WINS if raw >= int(TABLE_INF) else raw
+        return _table_value(self.values[self.index[config]].max())
 
     def placement_values(self) -> np.ndarray:
         """Per-configuration capt values as an int array (TABLE_INF-capped)."""
@@ -102,8 +105,7 @@ class SolveTable:
         out = []
         for i, config in enumerate(self.configs):
             for r in range(self.graph.n):
-                raw = int(self.values[i, r])
-                out.append([list(config), r, "inf" if raw >= int(TABLE_INF) else raw])
+                out.append([list(config), r, value_to_json(_table_value(self.values[i, r]))])
         return out
 
 
@@ -199,18 +201,13 @@ def capt_k(
     if table is None:
         table = solve_k(g, k, budget=budget)
     per_config = table.placement_values()
-    best = ROBBER_WINS
-    witness = None
-    for i, c in enumerate(table.configs):
-        if sets_only and len(set(c)) != k:
-            continue
-        v = int(per_config[i])
-        if v < int(TABLE_INF) and v < best:
-            best = v
-            witness = c
-            if best == 0:
-                break
-    return best, witness
+    if sets_only:
+        repeats = np.array([len(set(c)) != k for c in table.configs])
+        per_config[repeats] = TABLE_INF
+    # argmin takes the first minimum, so the witness is the least config
+    i = int(per_config.argmin())
+    value = _table_value(per_config[i])
+    return value, table.configs[i] if is_finite(value) else None
 
 
 def cop_number(g: Graph, budget: int = DEFAULT_BUDGET) -> int:

@@ -203,6 +203,20 @@ class TestPlay:
             "capture! robber caught at 0 after 0 round(s).",
         ]
 
+    def test_superscript_digit_gets_usage_line(self, capsys, monkeypatch):
+        # "²".isdigit() is true but int("²") raises
+        code, out, _ = run_cli(
+            capsys, "play", "--family", "path", "--param", "n=3",
+            "--as", "cops", stdin="place ²\nquit\n", monkeypatch=monkeypatch,
+        )
+        assert code == EXIT_OK
+        assert out.splitlines() == [
+            "Cops and Robbers on P3 (n=3), 1 cop(s); you play the cops.",
+            "place your 1 cop(s): place v1 ... vk> place ²",
+            "say: place v1 ... v1",
+            "place your 1 cop(s): place v1 ... vk> quit",
+        ]
+
     def test_end_of_input_abandons(self, capsys, monkeypatch):
         lines = self.play_c4_cops(capsys, monkeypatch, 2, "place 0 2\nmove 2 3\n")
         assert lines[-2:] == [

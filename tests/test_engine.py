@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import time
@@ -110,6 +111,27 @@ class TestCaptK:
         full, _ = capt_k(g, 2)
         sets_only, _ = capt_k(g, 2, sets_only=True)
         assert full <= sets_only
+
+    def test_matches_first_least_placement_value(self):
+        # capt_k, with and without sets_only, against a scan of placement_value
+        # over the configurations in lexicographic order: every k on every
+        # graph with at most 5 vertices, k <= 5 on seeded random 6- and 7-vertex ones
+        rng = random.Random(18)
+        graphs = [g for n in range(1, 6) for g in all_small_graphs(n)]
+        for n in (6, 7):
+            for _ in range(12):
+                pairs = itertools.combinations(range(n), 2)
+                graphs.append(Graph(n, [e for e in pairs if rng.random() < 0.45]))
+        for g in graphs:
+            for k in range(1, min(g.n, 5) + 1):
+                table = solve_k(g, k)
+                values = [table.placement_value(c) for c in table.configs]
+                for sets_only in (False, True):
+                    best, witness = ROBBER_WINS, None
+                    for c, v in zip(table.configs, values):
+                        if v < best and not (sets_only and len(set(c)) < k):
+                            best, witness = v, c
+                    assert capt_k(g, k, sets_only=sets_only, table=table) == (best, witness)
 
 
 class TestCopNumber:

@@ -1,5 +1,9 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from decimal import Context, Decimal, localcontext
 
 import mpmath as mp
 import pytest
@@ -27,18 +31,19 @@ from oracles import bisect_lambert_w
 class TestLambert:
     def test_fixed_points(self):
         assert lambert_w(0) == 0
-        assert abs(lambert_w(mp.e) - 1) < mp.mpf("1e-12")
+        with localcontext(Context(prec=40)):
+            assert abs(lambert_w(Decimal(1).exp()) - 1) < Decimal("1e-12")
 
     def test_w_of_one_matches_bisection(self):
-        assert abs(lambert_w(1) - bisect_lambert_w(1)) < mp.mpf("1e-12")
+        assert abs(mp.mpf(str(lambert_w(1))) - bisect_lambert_w(1)) < mp.mpf("1e-12")
         assert abs(float(lambert_w(1)) - 0.567143290409784) < 1e-12
 
     def test_residual_grid(self):
-        with mp.workdps(40):
+        with localcontext(Context(prec=40)):
             for i in range(25):
-                x = mp.mpf("0.1") * mp.mpf(10**7) ** (mp.mpf(i) / 24)
+                x = Decimal("0.1") * Decimal(10**7) ** (Decimal(i) / 24)
                 w = lambert_w(x)
-                assert abs(w * mp.exp(w) - x) <= mp.mpf("1e-12")
+                assert abs(w * w.exp() - x) <= Decimal("1e-12")
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -49,6 +54,24 @@ class TestLambert:
         p = LambertParams.for_order(100)
         assert abs(p.beta - 10.0) < 1e-9
         assert abs(p.tau ** (2 * p.tau**2) - 100) < 1e-6
+
+    def test_no_mpmath_import(self):
+        script = (
+            "import sys\n"
+            "sys.modules['mpmath'] = None\n"
+            "import copthrottle\n"
+            "from copthrottle import families\n"
+            "from copthrottle.lambertw import LambertParams\n"
+            "from copthrottle.strategy import certify_strategy, staged_decomposition\n"
+            "from copthrottle.verify import run_suite\n"
+            "assert run_suite('lambert').failed == 0\n"
+            "assert LambertParams.for_order(100).beta == 10.0\n"
+            "g = families.grid(3, 4)\n"
+            "assert certify_strategy(g, staged_decomposition(g)).valid\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(families.__file__)))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
 
 class TestGuardPlacement:
