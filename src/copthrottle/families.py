@@ -252,12 +252,7 @@ def random_connected(n: int, seed: int, p: float = 0.35) -> Graph:
     rng = random.Random(seed)
     prob = p
     for _ in range(200):
-        edges = [
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if rng.random() < prob
-        ]
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < prob]
         g = Graph(n, edges, name=f"gnp(n={n},seed={seed})")
         if g.is_connected():
             return g
@@ -272,12 +267,7 @@ def random_unicyclic(n: int, seed: int) -> Graph:
     rng = random.Random(seed)
     tree = random_tree(n, seed)
     present = set(tree.edges())
-    candidates = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if (u, v) not in present
-    ]
+    candidates = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in present]
     extra = candidates[rng.randrange(len(candidates))]
     return Graph(n, list(tree.edges()) + [extra], name=f"unicyclic(n={n},seed={seed})")
 
@@ -320,22 +310,5 @@ def generate_named(family: str, params: dict | None = None) -> Graph:
         raise ValueError(
             f"family {family!r} takes parameters {expected}, got {sorted(params)}"
         )
-    args = [int(params[p]) for p in expected]
-    builders = {
-        "path": path,
-        "cycle": cycle,
-        "complete": complete,
-        "empty": empty,
-        "star": star,
-        "complete_bipartite": complete_bipartite,
-        "spider": spider,
-        "grid": grid,
-        "petersen": petersen,
-        "heawood": heawood,
-        "m_ell": m_ell,
-        "random_tree": random_tree,
-        "random_chordal": random_chordal,
-        "random_connected": random_connected,
-        "random_unicyclic": random_unicyclic,
-    }
-    return builders[key](*args)
+    # every family is built by the function of the same name in this module
+    return globals()[key](*(int(params[p]) for p in expected))

@@ -53,7 +53,7 @@ class Graph:
         Label carried through serialization.
     """
 
-    __slots__ = ("n", "name", "adj", "nbr", "closed", "_edges")
+    __slots__ = ("n", "name", "adj", "nbr", "closed", "_edges", "_dist")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = (), name: str | None = None):
         if n < 0:
@@ -77,6 +77,7 @@ class Graph:
         self._edges: tuple[tuple[int, int], ...] = tuple(
             (u, v) for u in range(n) for v in self.adj[u] if u < v
         )
+        self._dist: Optional[np.ndarray] = None  # distance_matrix, once built
 
     @property
     def m(self) -> int:
@@ -192,21 +193,17 @@ def distances_from(g: Graph, source: int) -> list[Optional[int]]:
 def max_distance(g: Graph, sources: Iterable[int]) -> Optional[int]:
     """max_v d(v, S); ``None`` if some vertex is unreachable from S."""
     dist = distances_from_set(g, sources)
-    best = 0
-    for d in dist:
-        if d is None:
-            return None
-        if d > best:
-            best = d
-    return best
+    return None if None in dist else max(dist)
 
 
 def distance_matrix(g: Graph) -> np.ndarray:
-    """All-pairs BFS distances as an n x n int32 array, n where unreachable."""
-    dist = np.empty((g.n, g.n), dtype=np.int32)
-    for v in range(g.n):
-        dist[v] = [g.n if d is None else d for d in distances_from(g, v)]
-    return dist
+    """All-pairs BFS distances as a read-only n x n int32 array, n where
+    unreachable; built once per graph and kept beside it."""
+    if g._dist is None:
+        rows = [[g.n if d is None else d for d in distances_from(g, v)] for v in range(g.n)]
+        g._dist = np.array(rows, dtype=np.int32).reshape(g.n, g.n)
+        g._dist.flags.writeable = False
+    return g._dist
 
 
 def radius_and_center(g: Graph) -> tuple[int, int]:
@@ -413,13 +410,7 @@ def corners(g: Graph) -> list[CornerWitness]:
 
     Ordered by corner id, then dominator id.
     """
-    out = []
-    closed = [g.nbr[v] | {v} for v in range(g.n)]
-    for v in range(g.n):
-        for u in range(g.n):
-            if u != v and closed[v] <= closed[u]:
-                out.append(CornerWitness(v, u))
-    return out
+    return [CornerWitness(v, u) for v in range(g.n) for u in corners_of(g, v)]
 
 
 def corners_of(g: Graph, v: int) -> list[int]:
@@ -435,14 +426,10 @@ def boundary_vertices(g: Graph, v: int) -> tuple[int, ...]:
     """
     g.check_vertex(v)
     dist = distances_from(g, v)
-    out = []
-    for u in range(g.n):
-        du = dist[u]
-        if du is None:
-            continue
-        if all(dist[w] is not None and dist[w] <= du for w in g.adj[u]):
-            out.append(u)
-    return tuple(out)
+    return tuple(
+        u for u, du in enumerate(dist)
+        if du is not None and all(dist[w] is not None and dist[w] <= du for w in g.adj[u])
+    )
 
 
 def geodesic_between(g: Graph, u: int, v: int) -> list[int]:
@@ -462,15 +449,9 @@ def geodesic_between(g: Graph, u: int, v: int) -> list[int]:
 
 def is_geodesic(g: Graph, path: Sequence[int]) -> bool:
     """True iff ``path`` is a shortest path between its endpoints."""
-    if len(path) == 0:
+    if not path or len(set(path)) != len(path) or not all(map(g.has_edge, path, path[1:])):
         return False
-    if len(set(path)) != len(path):
-        return False
-    for a, b in zip(path, path[1:]):
-        if not g.has_edge(a, b):
-            return False
-    dist = distances_from(g, path[0])
-    return dist[path[-1]] == len(path) - 1
+    return distances_from(g, path[0])[path[-1]] == len(path) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -92,26 +92,10 @@ def named_corpus(max_n: int = 12) -> list[Graph]:
         families.empty(2).with_name("2K1"),
         families.empty(3).with_name("3K1"),
         families.disjoint_union(families.complete(1), families.complete(2), name="K1+K2"),
-        families.complete(2),
-        families.complete(3),
-        families.complete(4),
-        families.complete(5),
-        families.complete(6),
-        families.path(3),
-        families.path(4),
-        families.path(5),
-        families.path(7),
-        families.path(9),
-        families.path(12),
-        families.cycle(3),
-        families.cycle(4),
-        families.cycle(5),
-        families.cycle(6),
-        families.cycle(9),
-        families.cycle(12),
-        families.star(3),
-        families.star(5),
-        families.star(9),
+        *(families.complete(n) for n in range(2, 7)),
+        *(families.path(n) for n in (3, 4, 5, 7, 9, 12)),
+        *(families.cycle(n) for n in (3, 4, 5, 6, 9, 12)),
+        *(families.star(n) for n in (3, 5, 9)),
         families.complete_bipartite(2, 3),
         families.complete_bipartite(3, 3),
         families.spider(3, 2),
@@ -125,42 +109,34 @@ def named_corpus(max_n: int = 12) -> list[Graph]:
     return [g for g in graphs if g.n <= max_n]
 
 
-def chordal_corpus(count: int, max_n: int, seed: int) -> list[Graph]:
+def _seeded_corpus(make, tag: str, min_n: int, count: int, max_n: int, seed: int) -> list[Graph]:
+    """``count`` graphs ``make(n, seed')``, n and seed' drawn from ``seed:tag:i``."""
     out = []
     for i in range(count):
-        rng = random.Random(f"{seed}:chordal:{i}")
-        n = rng.randint(4, max_n)
-        out.append(families.random_chordal(n, int(rng.random() * 10**9)))
+        rng = random.Random(f"{seed}:{tag}:{i}")
+        n = rng.randint(min_n, max_n)
+        out.append(make(n, int(rng.random() * 10**9)))
     return out
+
+
+def chordal_corpus(count: int, max_n: int, seed: int) -> list[Graph]:
+    return _seeded_corpus(families.random_chordal, "chordal", 4, count, max_n, seed)
 
 
 def connected_corpus(count: int, max_n: int, seed: int) -> list[Graph]:
-    out = []
-    for i in range(count):
-        rng = random.Random(f"{seed}:conn:{i}")
-        n = rng.randint(2, max_n)
-        out.append(families.random_connected(n, int(rng.random() * 10**9)))
-    return out
+    return _seeded_corpus(families.random_connected, "conn", 2, count, max_n, seed)
 
 
 def tree_corpus(count: int, max_n: int, seed: int) -> list[Graph]:
-    out = [families.path(max_n), families.star(max_n - 1)]
     side = max(1, isqrt(max_n - 1))
-    out.append(families.spider(side, max(1, (max_n - 1) // side)))
-    for i in range(count):
-        rng = random.Random(f"{seed}:tree:{i}")
-        n = rng.randint(2, max_n)
-        out.append(families.random_tree(n, int(rng.random() * 10**9)))
-    return out
+    spider = families.spider(side, max(1, (max_n - 1) // side))
+    return [families.path(max_n), families.star(max_n - 1), spider] + _seeded_corpus(
+        families.random_tree, "tree", 2, count, max_n, seed
+    )
 
 
 def unicyclic_corpus(count: int, max_n: int, seed: int) -> list[Graph]:
-    out = []
-    for i in range(count):
-        rng = random.Random(f"{seed}:uni:{i}")
-        n = rng.randint(3, max_n)
-        out.append(families.random_unicyclic(n, int(rng.random() * 10**9)))
-    return out
+    return _seeded_corpus(families.random_unicyclic, "uni", 3, count, max_n, seed)
 
 
 def mixed_corpus(count: int, max_n: int, seed: int) -> list[Graph]:

@@ -1,10 +1,11 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately naive and shares no code path with the
-library: a depth-capped minimax game solver, a full-table value iteration
-over team moves, value iteration under one fixed cop strategy,
-brute-force radius (with its least witness) and domination, and
-bisection for the Lambert W function.
+library: a depth-capped minimax game solver, brute-force team moves, a
+full-table value iteration over them, a dense value iteration over
+ordered cop tuples for tables too large for it, value iteration under one
+fixed cop strategy, brute-force radius (with its least witness) and
+domination, and bisection for the Lambert W function.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 from collections import deque
 
 import mpmath as mp
+import numpy as np
 
 BIG = 10**9
 
@@ -51,6 +53,12 @@ def minimax_capture(g, placement, max_rounds):
     return max(value(start, r, max_rounds) for r in range(g.n))
 
 
+def team_moves(g, config):
+    """Distinct sorted cop tuples one team move can reach from ``config``."""
+    closed = [tuple(sorted(set(g.adj[v]) | {v})) for v in range(g.n)]
+    return {tuple(sorted(p)) for p in itertools.product(*(closed[v] for v in config))}
+
+
 def reference_table(g, k):
     """Capture time of every (cop multiset, robber) state, cops to move.
 
@@ -60,10 +68,7 @@ def reference_table(g, k):
     """
     closed = [tuple(sorted(set(g.adj[v]) | {v})) for v in range(g.n)]
     configs = list(itertools.combinations_with_replacement(range(g.n), k))
-    moves = {
-        c: {tuple(sorted(p)) for p in itertools.product(*(closed[v] for v in c))}
-        for c in configs
-    }
+    moves = {c: team_moves(g, c) for c in configs}
     value = {c: [0 if r in c else BIG for r in range(g.n)] for c in configs}
     t = 0
     while True:
@@ -82,6 +87,50 @@ def reference_table(g, k):
             return value
         for c, r in fresh:
             value[c][r] = t
+
+
+def ordered_tuple_table(g, k):
+    """``reference_table`` as a (multisets, n) array, BIG for robber wins,
+    by dense value iteration over ordered cop tuples.
+
+    A bool array of shape (n,)*(k+1), robber last, holds the states won
+    within t rounds.  A round ANDs the robber axis over N[r], adds capture,
+    then ORs each cop axis over N[c] in turn, since the best team move over
+    a product of neighbourhoods splits cop by cop.  Every multiset is
+    stored k! times over; this is the slow path for tables too large for
+    ``reference_table``.
+    """
+    n = g.n
+    closed = [sorted(set(g.adj[v]) | {v}) for v in range(n)]
+    # slot s sends each vertex to its s-th closed neighbour, or to itself
+    width = max(map(len, closed))
+    slots = [[c[s] if s < len(c) else v for v, c in enumerate(closed)] for s in range(width)]
+    shape = (n,) * (k + 1)
+    axes = np.indices(shape, sparse=True)
+    capture = np.zeros(shape, dtype=bool)
+    for a in range(k):
+        capture |= axes[a] == axes[k]
+
+    def fold(won, axis, op):
+        # op over N[v] along ``axis``, one neighbour slot at a time
+        out = np.take(won, slots[0], axis=axis)
+        for s in slots[1:]:
+            op(out, np.take(won, s, axis=axis), out=out)
+        return out
+
+    configs = np.array(list(itertools.combinations_with_replacement(range(n), k))).reshape(-1, k)
+    rows = np.ravel_multi_index(configs.T, (n,) * k)
+    won, values, t = capture, np.where(capture.reshape(-1, n)[rows], 0, BIG), 0
+    while True:
+        t += 1
+        step = fold(won, k, np.logical_and) | capture
+        for a in range(k):
+            step = fold(step, a, np.logical_or)
+        fresh = step.reshape(-1, n)[rows] & (values == BIG)
+        if not fresh.any():
+            return values
+        values[fresh] = t
+        won = step
 
 
 def fixed_strategy_worst_case(g, placement, strategy, caught):

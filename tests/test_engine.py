@@ -1,5 +1,7 @@
+import copy
 import itertools
 import json
+import pickle
 import random
 import time
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from copthrottle import families
+from copthrottle import engine, families
 from copthrottle.engine import (
     GameState,
     ROBBER_WINS,
@@ -20,9 +22,16 @@ from copthrottle.engine import (
     solve_placement,
     value_to_json,
 )
-from copthrottle.graph import BudgetExceeded, Graph
+from copthrottle.graph import BudgetExceeded, Graph, distance_matrix
 
-from oracles import BIG, all_small_graphs, minimax_capture, reference_table
+from oracles import (
+    BIG,
+    all_small_graphs,
+    minimax_capture,
+    ordered_tuple_table,
+    reference_table,
+    team_moves,
+)
 
 
 class TestGameValues:
@@ -67,10 +76,11 @@ class TestSolvePlacement:
             solve_k(families.grid(3, 4), 4, budget=100)
 
     def test_default_budget_fails_fast(self):
-        # 20^7 dense cells: charged up front, so the refusal costs no work
+        # largest layer C(32,3)^2 * 30 ~ 7.4e8 cells: charged up front, so the
+        # refusal costs no work
         t0 = time.perf_counter()
         with pytest.raises(BudgetExceeded):
-            solve_k(families.path(20), 6)
+            solve_k(families.path(30), 6)
         assert time.perf_counter() - t0 < 1.0
 
     def test_state_value_rejects_out_of_range_robber(self):
@@ -229,6 +239,122 @@ class TestReferenceSolver:
         rng = random.Random(seed)
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
         assert_matches_reference(Graph(n, edges), k)
+
+
+def random_graph(rng, n, p, connected=False):
+    """G(n, p) on a seeded rng; with ``connected``, plus a random spanning tree."""
+    edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
+    if connected:
+        edges |= {(rng.randrange(v), v) for v in range(1, n)}
+    return Graph(n, edges)
+
+
+class TestLayeredKernel:
+    """The multiset-layer tables against independent slow paths."""
+
+    def test_random_graphs_every_k_up_to_three(self):
+        rng = random.Random(2026)
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(1, 7), rng.random())
+            for k in (1, 2, 3):
+                assert_matches_reference(g, k)
+
+    def test_disconnected_graphs(self):
+        cases = [
+            families.empty(3),
+            families.disjoint_union(families.path(3), families.path(2)),
+            families.disjoint_union(families.cycle(4), families.complete(1)),
+            families.disjoint_union(families.cycle(4), families.cycle(4)),
+        ]
+        for g in cases:
+            for k in (1, 2, 3):
+                assert_matches_reference(g, k)
+
+    def test_p16_five_cops_against_ordered_tuples(self):
+        g = families.path(16)
+        table = solve_k(g, 5)
+        want = ordered_tuple_table(g, 5)
+        want[want == BIG] = TABLE_INF
+        assert np.array_equal(table.values, want)
+
+    def test_c24_five_cops_under_default_budget(self):
+        value, witness = capt_k(families.cycle(24), 5)
+        assert value == 2 and len(witness) == 5
+
+    def test_rank_is_config_order(self):
+        table = solve_k(families.path(6), 3)
+        assert [table.rank(c) for c in table.configs] == list(range(len(table.configs)))
+        assert table.rank((5, 0, 2)) == table.configs.index((0, 2, 5))
+        for bad in [(0, 1), (0, 1, 2, 3), (0, 1, 6), (-1, 0, 1)]:
+            with pytest.raises(KeyError):
+                table.rank(bad)
+
+    def test_rank_keys_past_int64(self):
+        # 3**45 > 2**63: the mixed-radix keys must not wrap
+        rows = np.array(list(itertools.combinations_with_replacement(range(3), 45)))
+        assert (engine._rank(rows[::-7], rows, 3) == np.arange(len(rows))[::-7]).all()
+        table = solve_k(families.path(3), 45)
+        # every cop on vertex 0 against a robber on 2: the cops split, then capture
+        assert table.state_value((0,) * 45, 2) == 2
+        assert table.placement_values().max() == 2
+
+    def test_few_vertices_many_cops(self):
+        # a packed row (8 bytes) outweighs its 7 cells here, past the 1 MiB floor
+        table = solve_k(families.cycle(7), 10)
+        assert (table.values < TABLE_INF).all()
+        assert capt_k(families.cycle(7), 10, table=table) == (0, (0, 0, 0, 0, 1, 2, 3, 4, 5, 6))
+
+    def test_configs_are_shared_and_read_only(self):
+        g = families.cycle(5)
+        a, b = solve_k(g, 2), solve_k(families.path(5), 2)
+        assert isinstance(a.configs, list) and a.configs is b.configs
+        assert a.configs == list(itertools.combinations_with_replacement(range(5), 2))
+        for change in (
+            lambda c: c.pop(),
+            lambda c: c.append((0, 0)),
+            lambda c: c.__setitem__(0, (4, 4)),
+            lambda c: c.__delitem__(0),
+            lambda c: c.sort(reverse=True),
+            lambda c: c.__iadd__([(0, 0)]),
+        ):
+            with pytest.raises(TypeError):
+                change(a.configs)
+        assert len(b.configs) == 15 and b.configs[0] == (0, 0)
+        # a copied or unpickled table keeps its configurations
+        assert copy.deepcopy(a).configs == a.configs == pickle.loads(pickle.dumps(a)).configs
+
+    def test_optimal_moves_match_brute_force(self):
+        rng = random.Random(7)
+        for _ in range(12):
+            g = random_graph(rng, rng.randint(2, 6), rng.random())
+            for k in (1, 2, 3):
+                table, ref = solve_k(g, k), reference_table(g, k)
+                for config in ref:
+                    for r in range(g.n):
+                        if r in config:
+                            continue
+                        scored = {
+                            c2: 0 if r in c2 else max(ref[c2][r2] for r2 in g.closed[r])
+                            for c2 in team_moves(g, config)
+                        }
+                        best = min(scored.values())
+                        want = sorted(c2 for c2, v in scored.items() if v == best)
+                        assert optimal_moves(g, table, GameState(config, r), "cops") == want
+                        row = ref[config]
+                        worst = max(row[r2] for r2 in g.closed[r])
+                        want_r = [r2 for r2 in g.closed[r] if row[r2] == worst]
+                        assert optimal_moves(g, table, GameState(config, r), "robber") == want_r
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 7), st.floats(0, 1), st.integers(0, 10**6))
+    def test_capture_time_at_least_distance(self, n, p, seed):
+        # capt(G;S) >= max_v d(v,S) on any connected graph, not only chordal ones
+        g = random_graph(random.Random(seed), n, p, connected=True)
+        dist = distance_matrix(g)
+        for k in (1, 2, 3):
+            table = solve_k(g, k)
+            farthest = dist[np.array(table.configs)].min(axis=1).max(axis=1)
+            assert (table.placement_values() >= farthest).all()
 
 
 class TestMonotonicity:

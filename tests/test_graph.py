@@ -15,6 +15,7 @@ from copthrottle.graph import (
     Graph,
     boundary_vertices,
     corners,
+    distance_matrix,
     distances_from,
     distances_from_set,
     domination_number,
@@ -92,6 +93,15 @@ class TestDistances:
             distances_from_set(g, set())
         with pytest.raises(ValueError):
             distances_from_set(g, {7})
+
+    def test_distance_matrix_built_once_and_read_only(self):
+        g = Graph(4, [(0, 1), (1, 2)])
+        dist = distance_matrix(g)
+        assert dist is distance_matrix(g)
+        assert dist.tolist() == [[0, 1, 2, 4], [1, 0, 1, 4], [2, 1, 0, 4], [4, 4, 4, 0]]
+        with pytest.raises(ValueError):
+            dist[0, 1] = 5
+        assert distance_matrix(families.empty(0)).shape == (0, 0)
 
     @settings(max_examples=40, deadline=None)
     @given(graphs())
