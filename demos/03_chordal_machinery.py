@@ -1,6 +1,6 @@
 """
-Chordal graphs: recognition, decompositions, and a refuted shortcut
-===================================================================
+Chordal graphs: recognition, retractions, and a refuted shortcut
+================================================================
 
 Chordal graphs admit perfect elimination orderings and are cop-win.  The
 claimed shortcut capt(G;S) = max_v d(v,S) is checked against the exact
@@ -10,12 +10,11 @@ cop's start is cornered by nobody).
 """
 
 from copthrottle import (
-    chordal_capture_fast,
     chordal_throttling,
-    clique_decomposition,
     corners,
     boundary_vertices,
     lexbfs_order,
+    retraction_onto,
     solve_placement,
 )
 from copthrottle.families import cycle, path, random_chordal
@@ -26,13 +25,13 @@ print("C4 verdict:", lexbfs_order(cycle(4)))
 chordal = random_chordal(10, seed=1)
 print(f"{chordal.name}: chordal = {lexbfs_order(chordal).chordal}")
 
-# Clique decompositions satisfy the running-intersection property.
+# Connected induced subgraphs of a chordal graph are retracts: peel corners.
 tri_pendant = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)], name="triangle+pendant")
-print("clique decomposition:", clique_decomposition(tri_pendant).cliques)
+print("retraction onto the edge 2-3:", retraction_onto(tri_pendant, [2, 3]))
 
 # The distance formula agrees with the engine on paths and most chordal
 # graphs; throttle a path both ways.
-print("fast capt(P9; {2,6}) =", chordal_capture_fast(path(9), {2, 6}),
+print("max_v d(v, {2,6}) on P9 =", max_distance(path(9), {2, 6}),
       " engine:", solve_placement(path(9), (2, 6))[0])
 print("chordal throttling of P9:", chordal_throttling(path(9)))
 

@@ -31,12 +31,8 @@ from .graph import (
 )
 from .chordal import (
     ChordalThrottling,
-    CliqueDecomposition,
     EliminationOrdering,
-    chordal_capture_fast,
     chordal_throttling,
-    clique_decomposition,
-    corner_elimination_sequence,
     is_chordal,
     lexbfs_order,
     retraction_onto,

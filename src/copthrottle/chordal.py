@@ -1,7 +1,6 @@
 """Chordal-graph machinery: recognition via Lex-BFS with an induced-cycle
-witness on failure, clique decompositions, corner-elimination reductions,
-explicit retractions onto connected induced subgraphs, and the fast
-distance-based capture-time formula with its throttling corollaries.
+witness on failure, explicit retractions onto connected induced
+subgraphs, and radius-based throttling numbers.
 
 On a connected chordal graph, max_v d(v, S) is a lower bound on the
 capture time capt(G; S) of a placement S.  It is exact on trees, but not
@@ -14,21 +13,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .graph import (
     BudgetExceeded,
     DEFAULT_BUDGET,
-    CornerWitness,
     Graph,
     geodesic_between,
-    is_geodesic,
     k_distance_dominating,
     k_radius_exact,
     max_distance,
     radius_and_center,
 )
-from .engine import GameValue
 
 
 @dataclass(frozen=True)
@@ -49,16 +45,6 @@ class EliminationOrdering:
             "chordal": self.chordal,
             "cycle_witness": list(self.cycle_witness) if self.cycle_witness else None,
         }
-
-
-@dataclass(frozen=True)
-class CliqueDecomposition:
-    """Ordered maximal cliques X_1..X_k with the running-intersection property."""
-
-    cliques: tuple[tuple[int, ...], ...]
-
-    def to_json_obj(self) -> list:
-        return [list(c) for c in self.cliques]
 
 
 def lexbfs_order(g: Graph) -> EliminationOrdering:
@@ -129,95 +115,6 @@ def is_chordal(g: Graph) -> bool:
     return lexbfs_order(g).chordal
 
 
-def clique_decomposition(g: Graph) -> CliqueDecomposition:
-    """Maximal cliques in a clique-tree order (running intersection holds)."""
-    if not g.is_connected():
-        raise ValueError("clique decomposition requires a connected graph")
-    ordering = lexbfs_order(g)
-    if not ordering.chordal:
-        raise ValueError("clique decomposition requires a chordal graph")
-    if g.n == 0:
-        return CliqueDecomposition(())
-    pos = {v: i for i, v in enumerate(ordering.order)}
-    candidates = []
-    for v in ordering.order:
-        clique = tuple(sorted([v] + [u for u in g.adj[v] if pos[u] > pos[v]]))
-        candidates.append(clique)
-    cliques = sorted(
-        {
-            c
-            for c in candidates
-            if not any(set(c) < set(d) for d in candidates)
-        }
-    )
-    # maximum-weight spanning tree of the clique graph, acquired Prim-style,
-    # gives a junction tree; the acquisition order has running intersection
-    k = len(cliques)
-    in_tree = [0]
-    order = [cliques[0]]
-    remaining = set(range(1, k))
-    while remaining:
-        best = None
-        for j in sorted(remaining):
-            for i in in_tree:
-                w = len(set(cliques[i]) & set(cliques[j]))
-                if w == 0:
-                    continue
-                cand = (w, -j)
-                if best is None or cand > best[0]:
-                    best = (cand, j)
-        if best is None:
-            raise AssertionError("clique graph of a connected chordal graph is connected")
-        j = best[1]
-        remaining.discard(j)
-        in_tree.append(j)
-        order.append(cliques[j])
-    return CliqueDecomposition(tuple(order))
-
-
-def _peel_corners(g: Graph, keep: set[int], stuck: str) -> list[CornerWitness]:
-    """Delete the lowest-id corner outside ``keep`` until only ``keep`` is left.
-
-    Each step records the corner and its lowest-id dominator among the
-    vertices still alive.  Raises ``ValueError(stuck)`` when no vertex
-    outside ``keep`` is a corner.
-    """
-    alive = set(range(g.n))
-    steps: list[CornerWitness] = []
-    while alive != keep:
-        found = None
-        for v in sorted(alive - keep):
-            cv = (g.nbr[v] & alive) | {v}
-            found = next(
-                (u for u in sorted(alive - {v}) if cv <= (g.nbr[u] & alive) | {u}), None
-            )
-            if found is not None:
-                break
-        if found is None:
-            raise ValueError(stuck)
-        steps.append(CornerWitness(v, found))
-        alive.discard(v)
-    return steps
-
-
-def corner_elimination_sequence(
-    g: Graph, p: Sequence[int]
-) -> list[CornerWitness]:
-    """Delete corners off the geodesic ``p`` until only ``p`` remains.
-
-    Greedy lowest-id corner first, lowest-id dominator recorded; raises if
-    no corner is available, which signals a non-chordal graph or a
-    non-geodesic path.
-    """
-    if not is_geodesic(g, p):
-        raise ValueError("p must be a geodesic of g")
-    return _peel_corners(
-        g,
-        set(p),
-        "no corner available off the path; input is not chordal or p is not a geodesic",
-    )
-
-
 def retraction_onto(g: Graph, target: Iterable[int]) -> dict[int, int]:
     """A retraction of g onto the connected induced subgraph on ``target``.
 
@@ -230,8 +127,20 @@ def retraction_onto(g: Graph, target: Iterable[int]) -> dict[int, int]:
     keep = set(target)
     if not keep:
         raise ValueError("target must be non-empty")
-    dominator = dict(_peel_corners(g, keep, "cannot retract: no corner outside the target"))
-
+    # peel the lowest-id corner v outside the target onto its lowest-id
+    # dominator u among the vertices alive; N[v] within N[u] makes u a neighbour
+    alive = set(range(g.n))
+    dominator = {}
+    while alive != keep:
+        for v in sorted(alive - keep):
+            nv = g.nbr[v] & alive
+            u = next((u for u in sorted(nv) if nv - {u} <= g.nbr[u]), None)
+            if u is not None:
+                break
+        else:
+            raise ValueError("cannot retract: no corner outside the target")
+        dominator[v] = u
+        alive.discard(v)
     phi = {}
     for v in range(g.n):
         x = v
@@ -243,22 +152,6 @@ def retraction_onto(g: Graph, target: Iterable[int]) -> dict[int, int]:
         if pu != pv and not g.has_edge(pu, pv):
             raise AssertionError("constructed map is not a retraction")
     return phi
-
-
-def chordal_capture_fast(g: Graph, placement: Iterable[int]) -> GameValue:
-    """max_v d(v, S) on a connected chordal graph: a lower bound on capt(G; S).
-
-    A robber who starts at the vertex farthest from S and stands still
-    survives that many rounds, so the value never exceeds capt(G; S).  It
-    is exact on trees but not on every chordal graph: the 9-vertex graph
-    of the README has capt(G; {8}) = 4 while every vertex is within
-    distance 3 of vertex 8.
-    """
-    _require_connected_chordal(g)
-    s = sorted(set(placement))
-    value = max_distance(g, s)
-    assert value is not None
-    return value
 
 
 @dataclass(frozen=True)

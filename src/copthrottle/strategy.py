@@ -1,12 +1,21 @@
 """Constructive cop strategies with machine-checked certificates.
 
-Every strategy here is a deterministic move rule; a certificate pairs a
-placement with such a rule and a claimed capture bound, and
-:func:`certify_strategy` validates the claim against an exhaustive
-best-response robber.  Because the cop side is a pure function of the
-visible state, the robber's best response is computable by search over
-robber choices alone; no strategy-derived bound is ever reported without
-that exact adversarial validation.
+Every strategy is a deterministic move rule built from guards.  A
+:class:`Guard` holds a beat, a geodesic or a ball in local ids, by
+chasing the robber's shadow under a retraction onto the beat: a shadow
+map sends each robber vertex to the beat vertex chased (or off the beat)
+and a step table says where a guard cop at c moves while the shadow is at
+s.  ``_toward`` fills a step table with the lowest-id neighbour one step
+closer to the shadow (path guards, and the staged strategy's reserve
+cops); ``_chase`` with the optimal one-cop move inside the beat (ball
+guards).
+
+A certificate pairs a placement with such a rule and a claimed capture
+bound, and :func:`certify_strategy` validates the claim against an
+exhaustive best-response robber.  Because the cop side is a pure function
+of the visible state, the robber's best response is computable by search
+over robber choices alone; no strategy-derived bound is ever reported
+without that exact adversarial validation.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from math import ceil, inf
 from typing import Iterable, Optional, Sequence
 
 from .chordal import is_chordal, retraction_onto, sqrt_ceil
-from .engine import GameState, ROBBER_WINS, optimal_moves, solve_k
+from .engine import ROBBER_WINS, solve_k
 from .graph import (
     DEFAULT_BUDGET,
     Graph,
@@ -67,15 +76,20 @@ class PathRetraction:
     mapping: dict[int, int]
 
 
+def _path_shadow(h: Graph, path: Sequence[int]) -> list[int]:
+    """path[min(d(path[0], u), len(path) - 1)] for every vertex u of h,
+    and path[0] where u is unreachable from it."""
+    last = len(path) - 1
+    return [path[0] if d is None else path[min(d, last)] for d in distances_from(h, path[0])]
+
+
 def path_retraction(g: Graph, p: Sequence[int]) -> PathRetraction:
     """phi(u) = p[min(d(p_0, u), len(p)-1)]; requires p to be a geodesic."""
     if not is_geodesic(g, p):
         raise ValueError("p must be a geodesic of g")
-    dist = distances_from(g, p[0])
-    if any(d is None for d in dist):
+    if not g.is_connected():
         raise ValueError("graph must be connected for a total path retraction")
-    k = len(p) - 1
-    mapping = {u: p[min(dist[u], k)] for u in range(g.n)}
+    mapping = dict(enumerate(_path_shadow(g, p)))
     for u in p:
         assert mapping[u] == u
     for u, v in g.edges():
@@ -85,24 +99,98 @@ def path_retraction(g: Graph, p: Sequence[int]) -> PathRetraction:
 
 
 # ---------------------------------------------------------------------------
-# shadow-chase simulation on one guarded geodesic
+# guards: a shadow map and a step table on one beat
+
+OFF_BEAT = -1
 
 
-class _PathChase:
-    """Every cop steps one path vertex toward the robber's shadow."""
+class Guard:
+    """A cop's beat with the rule for chasing the robber's shadow on it.
 
-    def __init__(self, retraction: PathRetraction):
-        self._path = retraction.path
-        self._pos = {v: i for i, v in enumerate(retraction.path)}
-        self._phi = retraction.mapping
+    ``verts[i]`` is the vertex of g with local id i.  ``shadow[r]`` is
+    the local id of the beat vertex chased while the robber is at r, or
+    ``OFF_BEAT``.  ``step[c][s]`` is the local id a guard cop at local id
+    c moves to while the shadow is at local id s, with ``step[s][s] == s``.
+
+    As a strategy on its own, every cop follows the guard.
+    """
+
+    def __init__(
+        self, verts: Sequence[int], shadow: Sequence[Optional[int]], step: list[list[int]]
+    ):
+        """``shadow[r]`` is given as a vertex of the beat, or None off the beat."""
+        self.verts = tuple(verts)
+        self.local = {v: i for i, v in enumerate(self.verts)}
+        self.shadow = [OFF_BEAT if s is None else self.local[s] for s in shadow]
+        self.step = step
+
+    def shadow_vertex(self, robber: int) -> Optional[int]:
+        s = self.shadow[robber]
+        return None if s == OFF_BEAT else self.verts[s]
+
+    def follow(self, cop: int, robber: int) -> int:
+        """Where a guard cop at ``cop`` moves while the robber is at
+        ``robber``; it stays put while the robber is off the beat."""
+        s = self.shadow[robber]
+        if s == OFF_BEAT:
+            return cop
+        return self.verts[self.step[self.local[cop]][s]]
 
     def initial_state(self):
         return ()
 
     def move(self, sstate, cops, robber):
-        pos, path = self._pos, self._path
-        b = pos[self._phi[robber]]
-        return tuple(path[pos[c] + (b > pos[c]) - (b < pos[c])] for c in cops), sstate
+        return tuple(self.follow(c, robber) for c in cops), sstate
+
+
+def _toward(sub: Graph, targets: Sequence[int]) -> list[list[int]]:
+    """step[v][j]: the lowest-id neighbour of v one step closer to
+    ``targets[j]`` in the connected graph ``sub``; v itself at the target."""
+    dists = [(t, distances_from(sub, t)) for t in targets]
+    return [
+        [v if v == t else min(w for w in sub.adj[v] if d[w] == d[v] - 1) for t, d in dists]
+        for v in range(sub.n)
+    ]
+
+
+def _chase(sub: Graph, values) -> list[list[int]]:
+    """step[c][s]: the optimal one-cop move from ``values = solve_k(sub, 1).values``.
+
+    reply[c2, s] is the most rounds the robber, at s and to move, can
+    force against a cop at c2 (max of the table over N[s]), and 0 where
+    c2 = s captures.  A cop at c takes the first minimiser of reply[., s]
+    over the sorted N[c], which is ``engine.optimal_moves``' first move.
+    """
+    closed = sub.closed
+    reply = values.copy()
+    for s, nb in enumerate(closed):
+        reply[:, s] = values[:, list(nb)].max(axis=1)
+    reply[range(sub.n), range(sub.n)] = 0
+    return [[nb[i] for i in reply[list(nb)].argmin(axis=0)] for nb in closed]
+
+
+def _path_guard(g: Graph, path: Sequence[int], shadow: Sequence[Optional[int]]) -> Guard:
+    """Guard of a geodesic: cops step along it toward the shadow."""
+    sub, verts = g.induced(path)
+    return Guard(verts, shadow, _toward(sub, range(sub.n)))
+
+
+def _ball_guard(guard_graph: Graph, center: int, radius: int) -> tuple[Guard, int]:
+    """One-cop guard of the ball around ``center`` in ``guard_graph``,
+    with its capture bound from ``center``.
+
+    ``guard_graph`` may be a spanning subgraph of g (a spanning tree for
+    the feedback strategy); moves stay inside it.
+    """
+    dist = distances_from(guard_graph, center)
+    ball = [u for u, d in enumerate(dist) if d is not None and d <= radius]
+    sub, verts = guard_graph.induced(ball)
+    phi = retraction_onto(guard_graph, ball)
+    table = solve_k(sub, 1)
+    bound = table.placement_value((verts.index(center),))
+    assert bound != ROBBER_WINS, "guard ball must be cop-win"
+    guard = Guard(verts, [phi[u] for u in range(guard_graph.n)], _chase(sub, table.values))
+    return guard, int(bound)
 
 
 def shadow_guard_simulate(
@@ -118,12 +206,10 @@ def shadow_guard_simulate(
     :func:`certify_strategy`'s format: (cop vertices, robber vertex)
     after each half-move.
     """
-    retraction = path_retraction(g, p)
-    phi = retraction.mapping
+    phi = path_retraction(g, p).mapping
+    guard = _path_guard(g, p, [phi[u] for u in range(g.n)])
     start = tuple(p[idx - 1] for idx in guard_placement(len(p) - 1, r))
-    rounds, trace = _worst_case(
-        g, start, _PathChase(retraction), lambda cops, robber: phi[robber] in cops
-    )
+    rounds, trace = _worst_case(g, start, guard, lambda cops, robber: phi[robber] in cops)
     if rounds == inf:
         raise StrategyError("shadow chase fails to guard the path")
     return int(rounds), trace
@@ -278,75 +364,35 @@ def _worst_case(g: Graph, start: tuple[int, ...], strat, caught) -> tuple[float,
 # shadow-chase strategies over covers by guarded balls
 
 
-@dataclass
-class _Chaser:
-    start: int
-    phi: dict[int, int]
-    moves: dict[tuple[int, int], int]  # (cop vertex, shadow vertex) -> next vertex
-    bound: int
-
-
 class ShadowChaseStrategy:
-    """Chaser cops hold retract balls, static cops stand still.
+    """Ball guards chase, static cops stand still.
 
-    Each chaser plays the optimal one-cop game inside its ball against
-    the robber's shadow under the ball's retraction, staying on the
-    shadow once caught; any cop finding the robber in its closed
-    neighborhood captures immediately.  Stateless: the rule depends only
-    on current positions.
+    Cop i < len(guards) follows ``guards[i]``, playing the optimal one-cop
+    game inside its ball against the robber's shadow under the ball's
+    retraction and staying on the shadow once caught; any cop finding the
+    robber in its closed neighborhood captures immediately.  Stateless:
+    the rule depends only on current positions.
     """
 
-    def __init__(self, g: Graph, chasers: list[_Chaser], statics: tuple[int, ...]):
+    def __init__(
+        self, g: Graph, starts: Sequence[int], guards: list[Guard], statics: tuple[int, ...]
+    ):
         self._g = g
-        self._chasers = chasers
-        self._statics = statics
-        self.placement = tuple(ch.start for ch in chasers) + statics
+        self._guards = guards
+        self.placement = tuple(starts) + statics
 
     def initial_state(self):
         return ()
 
     def move(self, sstate, cops, robber):
-        g = self._g
         new = list(cops)
-        for i, ch in enumerate(self._chasers):
-            shadow = ch.phi[robber]
-            c = cops[i]
-            if c != shadow:
-                new[i] = ch.moves[(c, shadow)]
+        for i, guard in enumerate(self._guards):
+            new[i] = guard.follow(cops[i], robber)
         for i, c in enumerate(cops):
-            if robber in g.nbr[c]:
+            if robber in self._g.nbr[c]:
                 new[i] = robber
                 break
         return tuple(new), sstate
-
-
-def _build_chaser(
-    g: Graph, guard_graph: Graph, center: int, radius: int
-) -> _Chaser:
-    """One-cop guard of the ball around ``center`` in ``guard_graph``.
-
-    ``guard_graph`` shares g's vertex ids but may be a subgraph (a
-    spanning tree for the feedback strategy); moves stay inside it.
-    """
-    dist = distances_from(guard_graph, center)
-    ball = sorted(u for u, d in enumerate(dist) if d is not None and d <= radius)
-    sub, old_ids = guard_graph.induced(ball)
-    back = {old: new for new, old in enumerate(old_ids)}
-    phi_local = retraction_onto(guard_graph, ball)
-    phi = {u: phi_local[u] for u in range(g.n)}
-    table = solve_k(sub, 1)
-    moves: dict[tuple[int, int], int] = {}
-    bound = 0
-    for s_local in range(sub.n):
-        v = table.state_value((back[center],), s_local)
-        assert v != ROBBER_WINS, "guard ball must be cop-win"
-        bound = max(bound, int(v))
-        for c_local in range(sub.n):
-            if c_local == s_local:
-                continue
-            mv = optimal_moves(sub, table, GameState((c_local,), s_local), "cops")[0][0]
-            moves[(old_ids[c_local], old_ids[s_local])] = old_ids[mv]
-    return _Chaser(center, phi, moves, bound)
 
 
 def ball_cover_strategy(
@@ -369,16 +415,14 @@ def ball_cover_strategy(
     for v, d in enumerate(dist):
         if d is None or d > radius:
             raise ValueError(f"vertex {v} is not within {radius} of any cop")
-    chasers = [_build_chaser(g, g, c, radius) for c in cops]
-    strat = ShadowChaseStrategy(g, chasers, ())
-    claimed = max(ch.bound for ch in chasers)
+    guards, bounds = zip(*(_ball_guard(g, c, radius) for c in cops))
+    strat = ShadowChaseStrategy(g, cops, list(guards), ())
     return PlacementCertificate(
         placement=strat.placement,
         strategy=strat,
-        claimed_bound=claimed,
+        claimed_bound=max(bounds),
         stages=tuple(
-            f"cop {i} guards the radius-{radius} ball at {ch.start}"
-            for i, ch in enumerate(chasers)
+            f"cop {i} guards the radius-{radius} ball at {c}" for i, c in enumerate(cops)
         ),
     )
 
@@ -427,19 +471,15 @@ def feedback_bound(g: Graph, budget: int = DEFAULT_BUDGET) -> PlacementCertifica
 
     k = max(1, sqrt_ceil(g.n) - 1)
     dom = k_distance_dominating(tree, k)
-    chasers = [_build_chaser(g, tree, c, k) for c in dom]
-    strat = ShadowChaseStrategy(g, chasers, tuple(sorted(fs)))
-    claimed = max((ch.bound for ch in chasers), default=0)
+    guards, bounds = zip(*(_ball_guard(tree, c, k) for c in dom))
+    strat = ShadowChaseStrategy(g, dom, list(guards), tuple(sorted(fs)))
     return PlacementCertificate(
         placement=strat.placement,
         strategy=strat,
-        claimed_bound=claimed,
+        claimed_bound=max(bounds),
         stages=tuple(
             [f"static cop on feedback vertex {v}" for v in sorted(fs)]
-            + [
-                f"cop guards the tree ball of radius {k} at {ch.start}"
-                for ch in chasers
-            ]
+            + [f"cop guards the tree ball of radius {k} at {c}" for c in dom]
         ),
         note=f"feedback number {f}; tree domination radius {k}",
     )
@@ -454,7 +494,7 @@ class _Stage:
     path: tuple[int, ...]
     posts: tuple[int, ...]  # vertices, aligned with the stage's cop slots
     r: int
-    phi: dict[int, int]  # defined on the residual graph at carving time
+    guard: Guard  # shadows from the residual graph at carving time
 
 
 class StagedStrategy:
@@ -479,8 +519,6 @@ class StagedStrategy:
     ):
         self._g = g
         self._stages = stages
-        self._stars = star_cops
-        self._helpers = helpers
         self._comp_of = comp_of
         self._comp_targets = comp_targets
         self.placement = (
@@ -493,38 +531,19 @@ class StagedStrategy:
             base += len(st.posts)
         base += len(star_cops)
         self._helper_slots = tuple(range(base, base + len(helpers)))
-        self._path_pos = [
-            {v: i for i, v in enumerate(st.path)} for st in stages
-        ]
-        # lowest-id BFS next hops toward each possible helper target
-        self._hop: dict[int, list[int]] = {}
-        for targets in comp_targets:
-            for t in targets:
-                if t not in self._hop:
-                    dist = distances_from(g, t)
-                    self._hop[t] = [
-                        v
-                        if v == t
-                        else min(w for w in g.adj[v] if dist[w] == dist[v] - 1)
-                        for v in range(g.n)
-                    ]
+        # helpers step toward their target in g: _hop[t][v] is v's next hop
+        hop_targets = sorted({t for targets in comp_targets for t in targets})
+        self._hop = dict(zip(hop_targets, zip(*_toward(g, hop_targets))))
 
     def initial_state(self):
         return (0, tuple([-1] * len(self._stages)), -2)  # -2: phase D untriggered
-
-    def _step_on_path(self, j: int, cop: int, shadow: int) -> int:
-        pos = self._path_pos[j]
-        a, b = pos[cop], pos[shadow]
-        if a == b:
-            return cop
-        return self._stages[j].path[a + (1 if b > a else -1)]
 
     def move(self, sstate, cops, robber):
         cur, holders, dcomp = sstate
         holders = list(holders)
         n_stages = len(self._stages)
         while cur < n_stages:
-            sh = self._stages[cur].phi.get(robber)
+            sh = self._stages[cur].guard.shadow_vertex(robber)
             if sh is None:
                 break
             hit = [i for i in self._stage_slots[cur] if cops[i] == sh]
@@ -536,21 +555,13 @@ class StagedStrategy:
             dcomp = self._comp_of.get(robber, -1)
 
         new = list(cops)
-        for j, st in enumerate(self._stages):
-            sh = st.phi.get(robber)
-            if sh is None:
-                continue
-            if j < cur:
-                h = holders[j]
-                new[h] = self._step_on_path(j, cops[h], sh)
-            elif j == cur:
-                for i in self._stage_slots[j]:
-                    new[i] = self._step_on_path(j, cops[i], sh)
+        for j, st in enumerate(self._stages[: cur + 1]):
+            for i in (holders[j],) if j < cur else self._stage_slots[j]:
+                new[i] = st.guard.follow(cops[i], robber)
         if dcomp >= 0:
             targets = self._comp_targets[dcomp]
-            for idx, slot in enumerate(self._helper_slots):
-                if idx < len(targets):
-                    new[slot] = self._hop[targets[idx]][cops[slot]]
+            for slot, t in zip(self._helper_slots, targets):
+                new[slot] = self._hop[t][cops[slot]]
         for i, c in enumerate(cops):
             if robber in self._g.nbr[c]:
                 new[i] = robber
@@ -562,40 +573,27 @@ def _carve_paths(
     g: Graph, remaining: set[int], length: int, r: int, stages: list[_Stage]
 ) -> None:
     """Repeatedly remove guard-placed geodesics of exact ``length`` from
-    the residual graph, recording a stage (with its retraction) for each."""
-    while True:
-        alive = sorted(remaining)
-        if not alive:
-            return
-        sub, old_ids = g.induced(alive)
-        back = {old: new for new, old in enumerate(old_ids)}
-        comps = sub.components()
-        found = None
-        for comp in comps:
+    the residual graph, recording a stage (with its guard) for each."""
+    while remaining:
+        sub, old_ids = g.induced(remaining)
+        for comp in sub.components():
             csub, clocal = sub.induced(comp)
             # row-major order: the least u, then the least v, at that distance
             us, vs = (distance_matrix(csub) == length).nonzero()
             if len(us) == 0:
                 continue
-            path_local = geodesic_between(csub, int(us[0]), int(vs[0]))
-            path = tuple(old_ids[clocal[x]] for x in path_local)
-            # retraction of the whole residual graph onto the path:
-            # distance-indexed on the path's component, constant elsewhere
-            d0 = distances_from(sub, back[path[0]])
-            phi = {}
-            for w_local in range(sub.n):
-                d = d0[w_local]
-                phi[old_ids[w_local]] = (
-                    path[0] if d is None else path[min(d, length)]
-                )
-            found = (path, phi)
+            on_sub = [clocal[x] for x in geodesic_between(csub, int(us[0]), int(vs[0]))]
+            path = tuple(old_ids[x] for x in on_sub)
+            # the residual graph retracts onto the path; carved vertices are off the beat
+            shadow: list[Optional[int]] = [None] * g.n
+            for u, s in zip(old_ids, _path_shadow(sub, on_sub)):
+                shadow[u] = old_ids[s]
+            posts = tuple(path[idx - 1] for idx in guard_placement(length, r))
+            stages.append(_Stage(path, posts, r, _path_guard(g, path, shadow)))
+            remaining.difference_update(path)
             break
-        if found is None:
+        else:
             return
-        path, phi = found
-        posts = tuple(path[idx - 1] for idx in guard_placement(length, r))
-        stages.append(_Stage(path, posts, r, phi))
-        remaining.difference_update(path)
 
 
 def staged_decomposition(

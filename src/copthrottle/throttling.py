@@ -53,8 +53,6 @@ class ThrottlingReport:
     th_prod_k: int
     th_sum_witness: tuple[int, ...]
     th_prod_witness: tuple[int, ...]
-    th_sum_ks: tuple[int, ...]
-    th_prod_ks: tuple[int, ...]
     complete: bool
 
     @property
@@ -115,8 +113,8 @@ def throttling_report(
     if n == 0:
         raise ValueError("throttling is undefined on the empty graph")
     all_vertices = tuple(range(n))
-    best_sum, sum_k, sum_wit, sum_ks = n, n, all_vertices, {n}
-    best_prod, prod_k, prod_wit, prod_ks = n, n, all_vertices, {n}
+    best_sum, sum_k, sum_wit = n, n, all_vertices
+    best_prod, prod_k, prod_wit = n, n, all_vertices
 
     rows: list[ThrottlingRow] = []
     cap = n if k_max is None else min(k_max, n)
@@ -138,18 +136,10 @@ def throttling_report(
             s = k + int(capt)
             p = k * (1 + int(capt))
             rows.append(ThrottlingRow(k, int(capt), s, p, witness))
-            if s < best_sum:
-                best_sum, sum_k, sum_wit, sum_ks = s, k, witness, {k}
-            elif s == best_sum:
-                sum_ks.add(k)
-                if k < sum_k:
-                    sum_k, sum_wit = k, witness
-            if p < best_prod:
-                best_prod, prod_k, prod_wit, prod_ks = p, k, witness, {k}
-            elif p == best_prod:
-                prod_ks.add(k)
-                if k < prod_k:
-                    prod_k, prod_wit = k, witness
+            if s < best_sum or (s == best_sum and k < sum_k):
+                best_sum, sum_k, sum_wit = s, k, witness
+            if p < best_prod or (p == best_prod and k < prod_k):
+                best_prod, prod_k, prod_wit = p, k, witness
         else:
             rows.append(ThrottlingRow(k, ROBBER_WINS, ROBBER_WINS, ROBBER_WINS, None))
         k += 1
@@ -171,8 +161,6 @@ def throttling_report(
         th_prod_k=prod_k,
         th_sum_witness=sum_wit,
         th_prod_witness=prod_wit,
-        th_sum_ks=tuple(sorted(sum_ks)),
-        th_prod_ks=tuple(sorted(prod_ks)),
         complete=not truncated,
     )
 

@@ -5,7 +5,8 @@ library: a depth-capped minimax game solver, brute-force team moves, a
 full-table value iteration over them, a dense value iteration over
 ordered cop tuples for tables too large for it, value iteration under one
 fixed cop strategy, brute-force radius (with its least witness) and
-domination, and bisection for the Lambert W function.
+domination, retraction by corner peeling over all vertices, and
+bisection for the Lambert W function.
 """
 
 from __future__ import annotations
@@ -205,6 +206,39 @@ class PathChase:
         last = len(self.path) - 1
         count = -(-len(self.path) // (2 * r + 1))
         return tuple(self.path[min(last, r + (2 * r + 1) * j)] for j in range(count))
+
+
+def peel_retraction(g, keep):
+    """Retraction of g onto ``keep`` by corner peeling, scanning every vertex.
+
+    Deletes the lowest-id corner outside ``keep`` onto its lowest-id
+    dominator among all vertices still alive, until only ``keep`` is left,
+    then follows each vertex's dominators into ``keep``.  Raises
+    ``ValueError`` when no vertex outside ``keep`` is a corner.
+    """
+    keep = set(keep)
+    alive = set(range(g.n))
+    dominator = {}
+    while alive != keep:
+        found = None
+        for v in sorted(alive - keep):
+            cv = (set(g.adj[v]) & alive) | {v}
+            found = next(
+                (u for u in sorted(alive - {v}) if cv <= (set(g.adj[u]) & alive) | {u}), None
+            )
+            if found is not None:
+                break
+        if found is None:
+            raise ValueError("no corner outside the target")
+        dominator[v] = found
+        alive.discard(v)
+    phi = {}
+    for v in range(g.n):
+        x = v
+        while x not in keep:
+            x = dominator[x]
+        phi[v] = x
+    return phi
 
 
 def brute_rad_k(g, k):

@@ -3,17 +3,11 @@ import random
 import pytest
 
 from copthrottle import families
-from copthrottle.chordal import (
-    chordal_capture_fast,
-    chordal_throttling,
-    clique_decomposition,
-    corner_elimination_sequence,
-    lexbfs_order,
-    retraction_onto,
-    sqrt_ceil,
-)
+from copthrottle.chordal import chordal_throttling, lexbfs_order, retraction_onto, sqrt_ceil
 from copthrottle.engine import solve_placement
-from copthrottle.graph import Graph, distances_from
+from copthrottle.graph import Graph, distances_from, geodesic_between, max_distance
+from copthrottle.verify import chordal_corpus
+from oracles import peel_retraction
 
 
 class TestLexBFS:
@@ -69,91 +63,36 @@ class TestLexBFS:
         for seed in range(10):
             assert lexbfs_order(families.random_chordal(10, seed)).chordal
 
-
-class TestCliqueDecomposition:
-    def verify_invariants(self, g, decomp):
-        cliques = decomp.cliques
-        seen = set()
-        for i, X in enumerate(cliques):
-            xs = set(X)
-            for a in X:
-                for b in X:
-                    assert a == b or g.has_edge(a, b)
-            if i > 0:
-                inter = xs & seen
-                assert inter
-                assert any(inter <= set(Y) for Y in cliques[:i])
-                for a in inter:
-                    for b in inter:
-                        assert a == b or g.has_edge(a, b)
-            seen |= xs
-        assert seen == set(range(g.n))
-
-    def test_p3(self):
-        d = clique_decomposition(families.path(3))
-        assert set(d.cliques) == {(0, 1), (1, 2)}
-
-    def test_k4_single(self):
-        assert clique_decomposition(families.complete(4)).cliques == ((0, 1, 2, 3),)
-
-    def test_triangle_pendant(self):
-        g = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
-        d = clique_decomposition(g)
-        assert set(d.cliques) == {(0, 1, 2), (2, 3)}
-        self.verify_invariants(g, d)
-
-    def test_rejects_nonchordal_or_disconnected(self):
-        with pytest.raises(ValueError):
-            clique_decomposition(families.cycle(4))
-        with pytest.raises(ValueError):
-            clique_decomposition(families.empty(3))
-
-    def test_random_invariants(self):
-        for seed in range(15):
-            g = families.random_chordal(11, seed)
-            self.verify_invariants(g, clique_decomposition(g))
-
     def test_json_exports(self):
         import json
 
-        d = clique_decomposition(families.path(3))
-        assert json.loads(json.dumps(d.to_json_obj())) == [[0, 1], [1, 2]]
         o = lexbfs_order(families.cycle(4)).to_json_obj()
         assert o["chordal"] is False and len(o["cycle_witness"]) == 4
         json.dumps(o)
 
 
 class TestCornerElimination:
+    """retraction_onto peels corners off the target, lowest id first."""
+
     def test_star_path(self):
-        steps = corner_elimination_sequence(families.star(3), [1, 0, 2])
-        assert [s.corner for s in steps] == [3]
-        assert steps[0].dominator == 0
+        assert retraction_onto(families.star(3), [1, 0, 2])[3] == 0
 
     def test_triangle_edge(self):
-        steps = corner_elimination_sequence(families.complete(3), [0, 1])
-        assert [s.corner for s in steps] == [2]
+        assert retraction_onto(families.complete(3), [0, 1])[2] == 0
 
     def test_c4_fails(self):
         with pytest.raises(ValueError):
-            corner_elimination_sequence(families.cycle(4), [0, 1])
+            retraction_onto(families.cycle(4), [0, 1])
 
     def test_replay_validity(self):
-        # each deleted vertex must be a corner of the residual graph
+        # onto a longest geodesic of a chordal graph, the same map the
+        # reference peel (every alive vertex a candidate dominator) builds
         for seed in range(10):
             g = families.random_chordal(9, seed)
-            from copthrottle.graph import geodesic_between, max_distance
-
             far = max(range(g.n), key=lambda v: max_distance(g, (v,)))
             other = max(range(g.n), key=lambda v: distances_from(g, far)[v])
             p = geodesic_between(g, far, other)
-            steps = corner_elimination_sequence(g, p)
-            alive = set(range(g.n))
-            for corner, dom in steps:
-                cv = ({w for w in g.adj[corner] if w in alive} | {corner})
-                cu = ({w for w in g.adj[dom] if w in alive} | {dom})
-                assert dom in alive and corner in alive and cv <= cu
-                alive.discard(corner)
-            assert alive == set(p)
+            assert retraction_onto(g, p) == peel_retraction(g, p)
 
 
 class TestRetraction:
@@ -171,30 +110,48 @@ class TestRetraction:
                 pu, pv = phi[u], phi[v]
                 assert pu == pv or g.has_edge(pu, pv)
 
+    @staticmethod
+    def targets(g):
+        """Every ball of radius 1 and 2, and a geodesic from each vertex."""
+        for c in range(g.n):
+            dist = distances_from(g, c)
+            yield [u for u, d in enumerate(dist) if d <= 1]
+            yield [u for u, d in enumerate(dist) if d <= 2]
+            yield geodesic_between(g, c, max(range(g.n), key=dist.__getitem__))
+
+    def test_agrees_with_reference_peel_on_chordal_corpus(self):
+        for g in chordal_corpus(200, 12, 42):
+            for keep in self.targets(g):
+                assert retraction_onto(g, keep) == peel_retraction(g, keep), (g.name, keep)
+
+    def test_agrees_with_reference_peel_on_paths(self):
+        for n in range(1, 61):
+            g = families.path(n)
+            for keep in ([0], [n // 2], list(range(n // 3, n // 2 + 1)), [n - 1]):
+                assert retraction_onto(g, keep) == peel_retraction(g, keep), (n, keep)
+
 
 class TestCaptureFast:
-    def test_examples(self):
-        assert chordal_capture_fast(families.path(5), {2}) == 2
-        assert chordal_capture_fast(families.complete(5), {0}) == 1
-        assert chordal_capture_fast(families.path(9), {2, 6}) == 2
+    """max_v d(v, S) is a lower bound on capt(G; S), exact on trees."""
 
-    def test_rejects_nonchordal(self):
-        with pytest.raises(ValueError):
-            chordal_capture_fast(families.cycle(4), {0})
+    def test_examples(self):
+        assert max_distance(families.path(5), {2}) == 2
+        assert max_distance(families.complete(5), {0}) == 1
+        assert max_distance(families.path(9), {2, 6}) == 2
 
     def test_agrees_with_engine_on_trees(self):
-        # on trees the distance formula is backed by prior work and holds
         rng = random.Random(3)
         for seed in range(15):
             g = families.random_tree(rng.randint(2, 9), seed)
             S = tuple(sorted(rng.choices(range(g.n), k=rng.randint(1, 2))))
-            assert chordal_capture_fast(g, S) == solve_placement(g, S)[0]
+            assert max_distance(g, S) == solve_placement(g, S)[0]
 
     def test_lower_bound_strict_on_readme_counterexample(self):
         # chordal, yet one cop from vertex 8 needs a round more than the distance
         g = Graph(9, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 6), (1, 2), (1, 4),
                       (1, 7), (1, 8), (2, 3), (2, 4), (2, 5), (3, 5), (3, 6)])
-        assert chordal_capture_fast(g, {8}) == 3 < solve_placement(g, (8,))[0] == 4
+        assert lexbfs_order(g).chordal
+        assert max_distance(g, {8}) == 3 < solve_placement(g, (8,))[0] == 4
 
 
 class TestChordalThrottling:

@@ -1,25 +1,13 @@
-"""Every demo script runs to completion against the source tree."""
-
-import os
-import subprocess
-import sys
-from pathlib import Path
+"""Every demo script runs to completion against the source tree and
+prints its golden output (``make_golden.py``)."""
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
-DEMOS = sorted((ROOT / "demos").glob("*.py"))
+from make_golden import DEMOS, demo_golden, run_demo
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(demo)],
-        cwd=ROOT,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = run_demo(demo)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == demo_golden(demo).read_text()
