@@ -11,6 +11,7 @@ from .engine import (
     optimal_moves,
     solve_k,
     solve_placement,
+    team_moves,
 )
 from .graph import (
     BudgetExceeded,

@@ -11,6 +11,7 @@ CLI-side arithmetic.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from typing import Optional, Sequence
@@ -22,6 +23,7 @@ from .engine import (
     capt_k,
     optimal_moves,
     solve_k,
+    team_moves,
     value_to_json,
 )
 from .families import _FAMILY_PARAMS, generate_named
@@ -60,14 +62,14 @@ def _parse_params(items: Optional[Sequence[str]]) -> dict:
 
 
 def _resolve_graph(args) -> Graph:
-    if getattr(args, "input", None) and getattr(args, "family", None):
+    if args.input and args.family:
         raise CliInputError("give exactly one of --input and --family")
-    if getattr(args, "input", None):
+    if args.input:
         try:
             return load_graph(args.input)
         except (OSError, GraphFormatError) as exc:
             raise CliInputError(f"cannot load {args.input}: {exc}") from exc
-    if getattr(args, "family", None):
+    if args.family:
         try:
             return generate_named(args.family, _parse_params(args.param))
         except ValueError as exc:
@@ -79,19 +81,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="copthrottle", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--input", help="graph file (.json, .g6, or edge list)")
+    def family(p):
         p.add_argument("--family", help="named family (see `generate --list`)")
         p.add_argument("--param", action="append", help="family parameter key=value")
+
+    def graph(p):
+        p.add_argument("--input", help="graph file (.json, .g6, or edge list)")
+        family(p)
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-        p.add_argument("--format", default="text", choices=["text", "json", "csv", "dot"])
 
     p_an = sub.add_parser("analyze", help="throttling table, cop number, chordality")
-    common(p_an)
+    graph(p_an)
+    p_an.add_argument("--format", default="text", choices=["text", "json", "csv", "dot"])
     p_an.add_argument("--k-max", type=int, default=None, dest="k_max")
 
     p_gen = sub.add_parser("generate", help="emit a family member")
-    common(p_gen)
+    family(p_gen)
+    p_gen.add_argument("--format", default="json", choices=["json", "dot"])
     p_gen.add_argument("--list", action="store_true", help="list family names")
     p_gen.add_argument("--seed", type=int, default=0)
 
@@ -106,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--format", default="text", choices=["text", "json"])
 
     p_pl = sub.add_parser("play", help="play against the exact optimal opponent")
-    common(p_pl)
+    graph(p_pl)
     p_pl.add_argument("--cops", type=int, default=1)
     p_pl.add_argument("--as", dest="side", default="robber", choices=["robber", "cops"])
     return parser
@@ -118,6 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_analyze(args) -> int:
     g = _resolve_graph(args)
+    if args.format == "dot":  # the graph alone: nothing to solve
+        sys.stdout.write(format_graph(g, "dot"))
+        return EXIT_OK
     report = throttling_report(g, k_max=args.k_max, budget=args.budget)
     chordal = is_chordal(g)
     if args.format == "csv":
@@ -131,9 +140,6 @@ def cmd_analyze(args) -> int:
             obj["one_plus_radius"] = 1 + rad
             obj["prod_equals_one_plus_radius"] = report.th_prod == 1 + rad
         print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
-        return EXIT_OK
-    if args.format == "dot":
-        sys.stdout.write(format_graph(g, "dot"))
         return EXIT_OK
     name = g.name or "graph"
     print(f"{name}: n={g.n} m={g.m}  chordal={'yes' if chordal else 'no'}")
@@ -174,9 +180,8 @@ def cmd_generate(args) -> int:
         g = generate_named(args.family, params)
     except ValueError as exc:
         raise CliInputError(str(exc)) from exc
-    fmt = "json" if args.format == "text" else args.format
-    sys.stdout.write(format_graph(g, fmt))
-    if fmt == "json":
+    sys.stdout.write(format_graph(g, args.format))
+    if args.format == "json":
         sys.stdout.write("\n")
     return EXIT_OK
 
@@ -186,26 +191,24 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    names = sorted(SUITES) if args.suite == "all" else [args.suite]
+    if names[0] not in SUITES:
+        raise CliInputError(f"unknown suite {names[0]!r}; choose from {sorted(SUITES)} or 'all'")
+    options = {"seed": args.seed, "count": args.count, "max_n": args.max_n, "budget": args.budget}
     params = _parse_params(args.param)
     if "l" in params:  # the m-ell suite's parameter is spelled ell
         params["ell"] = params.pop("l")
     if args.input:
         params["graph6_path"] = args.input
-    names = sorted(SUITES) if args.suite == "all" else [args.suite]
-    results = []
-    for name in names:
-        if name not in SUITES:
-            raise CliInputError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-        results.append(
-            run_suite(
-                name,
-                seed=args.seed,
-                count=args.count,
-                max_n=args.max_n,
-                budget=args.budget,
-                **params,
-            )
-        )
+    for key in params:
+        if key in options:
+            raise CliInputError(f"--param {key}: use --{key.replace('_', '-')}")
+        readers = [name for name in sorted(SUITES) if _reads(SUITES[name], key)]
+        if not set(readers) & set(names):
+            given = "--input" if key == "graph6_path" else f"--param {key}"
+            raise CliInputError(f"no selected suite reads {given}; "
+                                f"suites that do: {', '.join(readers) or 'none'}")
+    results = [run_suite(name, **options, **params) for name in names]
     if args.format == "json":
         payload = [
             {
@@ -227,6 +230,12 @@ def cmd_verify(args) -> int:
                 print(f"    first counterexample graph: "
                       f"{json.dumps(r.first_counterexample['graph'], sort_keys=True)}")
     return EXIT_OK if all(r.ok for r in results) else EXIT_VERIFY
+
+
+def _reads(suite, key: str) -> bool:
+    """Whether ``suite`` names ``key`` among its keyword parameters."""
+    param = inspect.signature(suite).parameters.get(key)
+    return param is not None and param.kind is not param.VAR_KEYWORD
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +282,7 @@ def cmd_play(args) -> int:
         else:
             moved = _read_move(
                 f"round {rounds + 1}: your cops at {_spaced(cops)}; move v1 ... vk> ", "move", k,
-                lambda vs: _team_move_legal(g, cops, canonical_config(vs)),
+                lambda vs: canonical_config(vs) in team_moves(g, cops),
                 "illegal team move; each cop may stay or step to a neighbor\n"
                 f"your cops: {_spaced(cops)}",
                 f"say: move v1 ... v{k}  (or hint / value / quit)",
@@ -340,17 +349,6 @@ def _read_move(prompt: str, verb: str, count: int, legal, refusal: str, usage: s
 
 def _spaced(vertices) -> str:
     return " ".join(map(str, vertices))
-
-
-def _team_move_legal(g: Graph, cops: tuple[int, ...], target: tuple[int, ...]) -> bool:
-    """Check a perfect matching moving each cop within its closed
-    neighborhood (permutation scan is fine at interactive cop counts)."""
-    import itertools
-
-    for perm in itertools.permutations(target):
-        if all(b in g.closed[a] for a, b in zip(cops, perm)):
-            return True
-    return False
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

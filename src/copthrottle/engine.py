@@ -6,8 +6,14 @@ the robber does; capture is checked after each half-move.  Values count
 rounds; a robber forced to start on a cop gives 0.
 
 ``solve_k`` runs a boolean fixpoint over canonical (sorted) cop multisets
-in layers, moving one cop at a time; states never won are robber wins
-(``math.inf``).  Its budget unit is the largest layer's cells.
+in layers, moving one cop at a time.  Its budget unit is the largest
+layer's cells.
+
+A robber win is ``ROBBER_WINS`` (``math.inf``) outside a solved table,
+compared, added and multiplied like any number; inside a table it is the
+int32 ``TABLE_INF``, which only ``_table_value`` converts.
+``value_to_json`` prints game values.  ``team_moves`` is the one
+definition of the cops' team move.
 """
 
 from __future__ import annotations
@@ -112,8 +118,8 @@ class SolveTable:
         return _table_value(self.values[self.rank(cops)].max())
 
     def placement_values(self) -> np.ndarray:
-        """Per-configuration capt values as an int array (TABLE_INF-capped)."""
-        return np.minimum(self.values.max(axis=1), TABLE_INF)
+        """Per-configuration capt values as an int array (TABLE_INF for a robber win)."""
+        return self.values.max(axis=1)
 
     def to_json_obj(self) -> list:
         return [
@@ -305,6 +311,17 @@ def cop_number(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
     raise AssertionError("unreachable: n cops always capture")
 
 
+def team_moves(g: Graph, cops: Iterable[int]) -> list[tuple[int, ...]]:
+    """Every cop multiset one team move reaches from ``cops``, each cop
+    staying or stepping to a neighbour, in lexicographic order."""
+    config = canonical_config(cops)
+    # one cop at a time, least unmoved first: (moved, unmoved) pairs
+    level = {((), config)}
+    for _ in config:
+        level = {(tuple(sorted(m + (c,))), u[1:]) for m, u in level for c in g.closed[u[0]]}
+    return sorted(m for m, _ in level)
+
+
 def optimal_moves(g: Graph, table: SolveTable, state: GameState, mover: str) -> list:
     """All optimal moves at ``state`` for the given side.
 
@@ -317,11 +334,7 @@ def optimal_moves(g: Graph, table: SolveTable, state: GameState, mover: str) -> 
     if state.is_capture():
         return []
     if mover == "cops":
-        # one cop at a time, least unmoved first: (moved, unmoved) pairs
-        level = {((), canonical_config(state.cops))}
-        for _ in range(table.k):
-            level = {(tuple(sorted(m + (c,))), u[1:]) for m, u in level for c in g.closed[u[0]]}
-        succs = sorted(m for m, _ in level)
+        succs = team_moves(g, state.cops)
         rows = table.values[[table.rank(c) for c in succs]]
         scores = rows[:, list(g.closed[state.robber])].max(axis=1)
         scores[[state.robber in c for c in succs]] = 0

@@ -578,7 +578,7 @@ def _block_is_outerplanar(edges: list[tuple[int, int]]) -> bool:
     return True
 
 
-def is_outerplanar(g: Graph, budget: int = 4 * 10**6) -> bool:
+def is_outerplanar(g: Graph) -> bool:
     """True iff G has an embedding with every vertex on the outer face.
 
     G is outerplanar iff each biconnected block is.  A block on n >= 3
@@ -590,10 +590,6 @@ def is_outerplanar(g: Graph, budget: int = 4 * 10**6) -> bool:
     whose edge already carries two.
 
     Runs in O(n + m) time: one lowpoint DFS splits the blocks and each
-    removal is constant work.  The budget is charged n + m elementary
-    steps, checked once before any work.
+    removal is constant work.
     """
-    required = g.n + g.m
-    if required > budget:
-        raise BudgetExceeded("is_outerplanar", required, budget)
     return all(_block_is_outerplanar(edges) for edges in _block_edges(g))

@@ -21,11 +21,11 @@ without that exact adversarial validation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, inf
+from math import ceil
 from typing import Iterable, Optional, Sequence
 
 from .chordal import is_chordal, retraction_onto, sqrt_ceil
-from .engine import ROBBER_WINS, solve_k
+from .engine import GameValue, ROBBER_WINS, solve_k, value_to_json
 from .graph import (
     DEFAULT_BUDGET,
     Graph,
@@ -190,7 +190,7 @@ def _ball_guard(guard_graph: Graph, center: int, radius: int) -> tuple[Guard, in
     bound = table.placement_value((verts.index(center),))
     assert bound != ROBBER_WINS, "guard ball must be cop-win"
     guard = Guard(verts, [phi[u] for u in range(guard_graph.n)], _chase(sub, table.values))
-    return guard, int(bound)
+    return guard, bound
 
 
 def shadow_guard_simulate(
@@ -210,9 +210,9 @@ def shadow_guard_simulate(
     guard = _path_guard(g, p, [phi[u] for u in range(g.n)])
     start = tuple(p[idx - 1] for idx in guard_placement(len(p) - 1, r))
     rounds, trace = _worst_case(g, start, guard, lambda cops, robber: phi[robber] in cops)
-    if rounds == inf:
+    if rounds == ROBBER_WINS:
         raise StrategyError("shadow chase fails to guard the path")
-    return int(rounds), trace
+    return rounds, trace
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +251,13 @@ class PlacementCertificate:
 @dataclass
 class CertificationResult:
     valid: bool
-    worst_rounds: float  # rounds, or inf when the robber survives
+    worst_rounds: GameValue
     trace: list
 
     def to_json_obj(self) -> dict:
         return {
             "valid": self.valid,
-            "worst_rounds": "inf" if self.worst_rounds == inf else int(self.worst_rounds),
+            "worst_rounds": value_to_json(self.worst_rounds),
             "trace": [[list(c), r] for c, r in self.trace],
         }
 
@@ -272,17 +272,17 @@ def certify_strategy(g: Graph, cert: PlacementCertificate) -> CertificationResul
     worst, trace = _worst_case(
         g, tuple(cert.placement), cert.strategy, lambda cops, robber: robber in cops
     )
-    valid = worst != inf and worst <= cert.claimed_bound
+    valid = worst <= cert.claimed_bound
     return CertificationResult(valid, worst, trace)
 
 
-def _worst_case(g: Graph, start: tuple[int, ...], strat, caught) -> tuple[float, list]:
+def _worst_case(g: Graph, start: tuple[int, ...], strat, caught) -> tuple[GameValue, list]:
     """Max over robber plays of the rounds until ``caught(cops, robber)``.
 
     ``strat`` moves the cops from ``start`` and is checked for legality
-    at every reachable state.  Returns (rounds, or inf when the robber
-    can avoid ``caught`` forever; worst-case trace of (cops, robber)
-    after each half-move, empty on inf).
+    at every reachable state.  Returns (rounds, or ROBBER_WINS when the
+    robber can avoid ``caught`` forever; worst-case trace of (cops, robber)
+    after each half-move, empty on a robber win).
     """
     closed = g.closed
     closed_sets = [frozenset(c) for c in closed]
@@ -302,11 +302,11 @@ def _worst_case(g: Graph, start: tuple[int, ...], strat, caught) -> tuple[float,
     memo: dict[tuple, object] = {}
     GRAY = object()
 
-    def known(st: tuple) -> float:
+    def known(st: tuple) -> GameValue:
         got = memo.get(st)
-        return inf if got is None or got is GRAY else got
+        return ROBBER_WINS if got is None or got is GRAY else got
 
-    def value(root: tuple) -> float:
+    def value(root: tuple) -> GameValue:
         stack = [root]
         while stack:
             st = stack[-1]
@@ -317,12 +317,12 @@ def _worst_case(g: Graph, start: tuple[int, ...], strat, caught) -> tuple[float,
             cops, robber, ss = st
             if got is None:
                 if caught(cops, robber):
-                    memo[st] = 0.0
+                    memo[st] = 0
                     stack.pop()
                     continue
                 cops2, ss2 = cop_step(ss, cops, robber)
                 if caught(cops2, robber):
-                    memo[st] = 1.0
+                    memo[st] = 1
                     stack.pop()
                     continue
                 memo[st] = GRAY
@@ -332,12 +332,12 @@ def _worst_case(g: Graph, start: tuple[int, ...], strat, caught) -> tuple[float,
                         stack.append(child)
                 continue
             cops2, ss2 = cop_step(ss, cops, robber)
-            memo[st] = 1.0 + max(known((cops2, r2, ss2)) for r2 in closed[robber])
+            memo[st] = 1 + max(known((cops2, r2, ss2)) for r2 in closed[robber])
             stack.pop()
         return known(root)
 
     s0 = strat.initial_state()
-    worst = 0.0
+    worst: GameValue = 0
     worst_start = 0
     for r0 in range(g.n):
         v = value((start, r0, s0))
@@ -345,7 +345,7 @@ def _worst_case(g: Graph, start: tuple[int, ...], strat, caught) -> tuple[float,
             worst, worst_start = v, r0
 
     trace: list[tuple[tuple[int, ...], int]] = []
-    if worst != inf and g.n:
+    if worst != ROBBER_WINS and g.n:
         cops, robber, ss = start, worst_start, s0
         trace.append((cops, robber))
         guard = 0
@@ -395,9 +395,7 @@ class ShadowChaseStrategy:
         return tuple(new), sstate
 
 
-def ball_cover_strategy(
-    g: Graph, placement: Iterable[int], radius: int, budget: int = DEFAULT_BUDGET
-) -> PlacementCertificate:
+def ball_cover_strategy(g: Graph, placement: Iterable[int], radius: int) -> PlacementCertificate:
     """Guard a connected chordal graph by balls around the given cops.
 
     Every vertex must lie within ``radius`` of some cop; cop i then

@@ -18,16 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import (
-    GameValue,
-    ROBBER_WINS,
-    TABLE_INF,
-    capt_k,
-    cop_number,
-    is_finite,
-    solve_k,
-    value_to_json,
-)
+from .engine import GameValue, TABLE_INF, capt_k, cop_number, is_finite, solve_k, value_to_json
 from .graph import BudgetExceeded, DEFAULT_BUDGET, Graph, distance_matrix, domination_number
 
 
@@ -132,16 +123,12 @@ def throttling_report(
                 exc.required,
                 exc.budget,
             ) from exc
-        if is_finite(capt):
-            s = k + int(capt)
-            p = k * (1 + int(capt))
-            rows.append(ThrottlingRow(k, int(capt), s, p, witness))
-            if s < best_sum or (s == best_sum and k < sum_k):
-                best_sum, sum_k, sum_wit = s, k, witness
-            if p < best_prod or (p == best_prod and k < prod_k):
-                best_prod, prod_k, prod_wit = p, k, witness
-        else:
-            rows.append(ThrottlingRow(k, ROBBER_WINS, ROBBER_WINS, ROBBER_WINS, None))
+        row = ThrottlingRow(k, capt, k + capt, k * (1 + capt), witness)
+        rows.append(row)
+        if row.th_sum < best_sum or (row.th_sum == best_sum and k < sum_k):
+            best_sum, sum_k, sum_wit = row.th_sum, k, witness
+        if row.th_prod < best_prod or (row.th_prod == best_prod and k < prod_k):
+            best_prod, prod_k, prod_wit = row.th_prod, k, witness
         k += 1
     else:
         if k_max is not None and cap < n:
@@ -292,7 +279,7 @@ def classify_thprod_low(g: Graph, budget: int = DEFAULT_BUDGET) -> LowProductCla
     if gamma == 2 and n >= 4:
         return LowProductClassification(4, "4b")
     capt1, _ = capt_k(g, 1, budget=budget)
-    if is_finite(capt1) and capt1 == 3:
+    if capt1 == 3:
         return LowProductClassification(4, "4c")
     return LowProductClassification(None, None)
 

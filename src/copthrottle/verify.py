@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 from . import families
 from .chordal import chordal_throttling, is_chordal, sqrt_ceil
-from .engine import ROBBER_WINS, capt_k, cop_number, is_finite, solve_k, solve_placement
+from .engine import capt_k, cop_number, is_finite, solve_k, solve_placement
 from .graph import (
     DEFAULT_BUDGET,
     Graph,
@@ -320,7 +320,7 @@ def suite_outerplanar(
             n = rng.randint(6, max_n)
             graphs.append(families.random_connected(n, int(rng.random() * 10**9)))
     for g in graphs:
-        if not is_outerplanar(g, budget=budget):
+        if not is_outerplanar(g):
             res.passed += 1  # implication is vacuous
             continue
         copwin = is_finite(capt_k(g, 1, budget=budget)[0])
@@ -437,12 +437,8 @@ def suite_corner_sandwich(
                 tables[k] = solve_k(g, k, budget=budget), solve_k(sub, k, budget=budget)
             vG = tables[k][0].placement_value(S)
             vH = tables[k][1].placement_value(back[s] for s in S)
-            if vG == ROBBER_WINS or vH == ROBBER_WINS:
-                ok = vG == ROBBER_WINS and vH == ROBBER_WINS
-            else:
-                ok = vH <= vG <= vH + 1
             res.check(
-                ok,
+                vH <= vG <= vH + 1,
                 f"graph {i} ({g.name}) v={v} S={S}: capt(G)={vG}, capt(G-C)={vH}",
                 g,
             )
@@ -494,7 +490,7 @@ def suite_certificates(
     for i, g in enumerate(chordal_corpus(count, max_n, seed)):
         radius = max(1, sqrt_ceil(g.n) - 1)
         cops = k_distance_dominating(g, radius)
-        check_cert(g, ball_cover_strategy(g, cops, radius, budget=budget), "ball-cover")
+        check_cert(g, ball_cover_strategy(g, cops, radius), "ball-cover")
     return res
 
 
@@ -568,7 +564,7 @@ def suite_m_ell(
         table3 = solve_k(g, 3, budget=budget)
         c3 = table3.placement_value(placement)
         res.check(
-            is_finite(c3) and c3 == (ell + 3 + 1) // 2,
+            c3 == (ell + 3 + 1) // 2,
             f"capt(M({ell}); {placement}) = {c3} != ceil((ell+3)/2)",
             g,
         )

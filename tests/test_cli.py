@@ -1,8 +1,10 @@
 import io
 import json
 
+from copthrottle import cli
 from copthrottle.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main
 from copthrottle.graphio import to_json
+from copthrottle.verify import SUITES, SuiteResult
 
 
 def run_cli(capsys, *argv, stdin=None, monkeypatch=None):
@@ -57,6 +59,13 @@ class TestAnalyze:
         code, out, _ = run_cli(capsys, "analyze", "--input", str(path))
         assert code == EXIT_OK and "th_c(G) = 3" in out
 
+    def test_dot_prints_the_graph_without_solving(self, capsys):
+        # throttling_report(P30) would exceed the default budget at k = 6
+        code, out, _ = run_cli(
+            capsys, "analyze", "--family", "path", "--param", "n=30", "--format", "dot"
+        )
+        assert code == EXIT_OK and out.startswith("graph P30 {") and "  28 -- 29;" in out
+
     def test_byte_identical_reruns(self, capsys):
         args = ("analyze", "--family", "path", "--param", "n=7", "--format", "json")
         _, out1, _ = run_cli(capsys, *args)
@@ -97,6 +106,18 @@ class TestGenerate:
         code, _, err = run_cli(capsys, "generate", "--family", "zorp")
         assert code == EXIT_INPUT
 
+    def test_csv_refused_with_usage(self, capsys):
+        code, _, err = run_cli(
+            capsys, "generate", "--family", "path", "--param", "n=4", "--format", "csv"
+        )
+        assert code == EXIT_INPUT
+        assert err.startswith("usage: copthrottle generate") and "invalid choice: 'csv'" in err
+
+    def test_options_it_does_not_read_refused(self, capsys):
+        for extra in (["--input", "g.json"], ["--budget", "9"]):
+            code, _, err = run_cli(capsys, "generate", "--family", "path", "--param", "n=4", *extra)
+            assert code == EXIT_INPUT and f"unrecognized arguments: {' '.join(extra)}" in err
+
 
 class TestVerify:
     def test_passing_suite_exit_0(self, capsys):
@@ -129,8 +150,43 @@ class TestVerify:
         )
         assert code == EXIT_OK and "[PASS] m-ell" in out
 
+    def test_param_no_suite_reads_refused(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "lambert", "--param", "foo=3", "--input", "/nonexistent.g6"
+        )
+        assert code == EXIT_INPUT and out == ""
+        assert "no selected suite reads --param foo; suites that do: none" in err
+
+    def test_input_outside_outerplanar_refused(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", "iq", "--input", "x.g6")
+        assert code == EXIT_INPUT and out == ""
+        assert "no selected suite reads --input; suites that do: outerplanar" in err
+
+    def test_param_owned_by_an_option_refused(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "--suite", "lambert", "--param", "count=3")
+        assert code == EXIT_INPUT and "--param count: use --count" in err
+
+    def test_all_suites_take_ell(self, capsys, monkeypatch):
+        calls = []
+
+        def record(name, **kwargs):
+            calls.append((name, kwargs["ell"]))
+            return SuiteResult(name)
+
+        monkeypatch.setattr(cli, "run_suite", record)
+        for spelling in ("ell=5", "l=5"):
+            calls.clear()
+            assert run_cli(capsys, "verify", "--suite", "all", "--param", spelling)[0] == EXIT_OK
+            assert calls == [(name, 5) for name in sorted(SUITES)]
+
 
 class TestPlay:
+    def test_format_refused(self, capsys):
+        code, _, err = run_cli(
+            capsys, "play", "--family", "path", "--param", "n=3", "--format", "json"
+        )
+        assert code == EXIT_INPUT and "unrecognized arguments: --format json" in err
+
     def test_as_robber_on_p5(self, capsys, monkeypatch):
         code, out, _ = run_cli(
             capsys, "play", "--family", "path", "--param", "n=5",

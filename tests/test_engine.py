@@ -20,17 +20,18 @@ from copthrottle.engine import (
     optimal_moves,
     solve_k,
     solve_placement,
+    team_moves,
     value_to_json,
 )
 from copthrottle.graph import BudgetExceeded, Graph, distance_matrix
 
+import oracles
 from oracles import (
     BIG,
     all_small_graphs,
     minimax_capture,
     ordered_tuple_table,
     reference_table,
-    team_moves,
 )
 
 
@@ -221,6 +222,7 @@ def assert_matches_reference(g, k):
     want[want == BIG] = TABLE_INF
     assert table.values.dtype == np.int32
     assert np.array_equal(table.values, want)
+    assert np.array_equal(table.placement_values(), want.max(axis=1))
 
 
 class TestReferenceSolver:
@@ -249,6 +251,28 @@ def random_graph(rng, n, p, connected=False):
     return Graph(n, edges)
 
 
+DISCONNECTED = [
+    families.empty(3),
+    families.disjoint_union(families.path(3), families.path(2)),
+    families.disjoint_union(families.cycle(4), families.complete(1)),
+    families.disjoint_union(families.cycle(4), families.cycle(4)),
+]
+
+
+class TestTeamMoves:
+    def test_against_product_of_closed_neighbourhoods(self):
+        graphs = [g for n in range(1, 6) for g in all_small_graphs(n)] + DISCONNECTED
+        for g in graphs:
+            for k in (1, 2, 3):
+                for config in itertools.combinations_with_replacement(range(g.n), k):
+                    assert team_moves(g, config) == sorted(oracles.team_moves(g, config))
+
+    def test_unsorted_input(self):
+        # C4 0-1-2-3-0: the pair (2, 0) reaches (2, 3) only by 0 -> 3 and 2 -> 2
+        moves = team_moves(families.cycle(4), (2, 0))
+        assert (2, 3) in moves and (0, 0) not in moves
+
+
 class TestLayeredKernel:
     """The multiset-layer tables against independent slow paths."""
 
@@ -260,13 +284,7 @@ class TestLayeredKernel:
                 assert_matches_reference(g, k)
 
     def test_disconnected_graphs(self):
-        cases = [
-            families.empty(3),
-            families.disjoint_union(families.path(3), families.path(2)),
-            families.disjoint_union(families.cycle(4), families.complete(1)),
-            families.disjoint_union(families.cycle(4), families.cycle(4)),
-        ]
-        for g in cases:
+        for g in DISCONNECTED:
             for k in (1, 2, 3):
                 assert_matches_reference(g, k)
 
@@ -335,7 +353,7 @@ class TestLayeredKernel:
                             continue
                         scored = {
                             c2: 0 if r in c2 else max(ref[c2][r2] for r2 in g.closed[r])
-                            for c2 in team_moves(g, config)
+                            for c2 in oracles.team_moves(g, config)
                         }
                         best = min(scored.values())
                         want = sorted(c2 for c2, v in scored.items() if v == best)

@@ -379,10 +379,6 @@ class TestOuterplanar:
         g = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (4, 3)])
         assert not is_outerplanar(g)
 
-    def test_budget(self):
-        with pytest.raises(BudgetExceeded):
-            is_outerplanar(families.grid(3, 4), budget=5)
-
     @staticmethod
     def _subdivided(g, length):
         """Each edge of g replaced by a path of ``length`` edges."""

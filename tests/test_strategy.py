@@ -279,3 +279,20 @@ class TestStaged:
     def test_rejects_disconnected(self):
         with pytest.raises(ValueError):
             staged_decomposition(families.empty(3), 2, 1, 2, 2, 1)
+
+    def test_off_beat_robber_leaves_guard_in_place(self):
+        # the robber's last move, 11 -> 5, leaves the beat of the stage that
+        # guards 8..9 (5 was carved before that path), so its cop 5 stays on 9
+        g = families.random_connected(13, 412461, p=0.3)
+        cert = staged_decomposition(g, 1, 1, 2, 1, 1)
+        out = certify_strategy(g, cert)
+        assert cert.placement == (3, 4, 12, 6, 10, 9, 0)
+        assert out.valid and out.worst_rounds == 3
+        assert out.trace == [
+            ((3, 4, 12, 6, 10, 9, 0), 11),
+            ((3, 4, 12, 6, 7, 9, 0), 11),
+            ((3, 4, 12, 6, 7, 9, 0), 11),
+            ((3, 4, 12, 6, 7, 9, 8), 11),
+            ((3, 4, 12, 6, 7, 9, 8), 5),
+            ((3, 4, 12, 5, 7, 9, 11), 5),
+        ]

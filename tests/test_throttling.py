@@ -3,6 +3,7 @@ import random
 from copthrottle import families
 from copthrottle.engine import ROBBER_WINS
 from copthrottle.throttling import (
+    ThrottlingRow,
     check_iq_proposition,
     classify_thprod_low,
     iq_pairs,
@@ -25,7 +26,10 @@ class TestReport:
     def test_c4(self):
         r = throttling_report(families.cycle(4))
         assert (r.th_sum, r.th_prod) == (3, 4)
-        assert r.rows[0].capt == ROBBER_WINS  # one cop loses on C4
+        # one cop loses on C4: the row is a robber win throughout
+        assert r.rows[0] == ThrottlingRow(1, ROBBER_WINS, ROBBER_WINS, ROBBER_WINS, None)
+        row = r.to_json_obj()["rows"][0]
+        assert row == {"k": 1, "capt": "inf", "th_sum": "inf", "th_prod": "inf", "witness": None}
 
     def test_small_orders(self):
         assert throttling_report(families.complete(1)).th_sum == 1
