@@ -11,7 +11,6 @@ CLI-side arithmetic.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 from typing import Optional, Sequence
@@ -30,7 +29,7 @@ from .families import _FAMILY_PARAMS, generate_named
 from .graph import BudgetExceeded, DEFAULT_BUDGET, Graph, radius_and_center
 from .graphio import GraphFormatError, format_graph, load_graph
 from .throttling import throttling_report
-from .verify import SUITES, run_suite
+from .verify import SUITES, run_suite, suite_options
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -64,6 +63,8 @@ def _parse_params(items: Optional[Sequence[str]]) -> dict:
 def _resolve_graph(args) -> Graph:
     if args.input and args.family:
         raise CliInputError("give exactly one of --input and --family")
+    if args.param and not args.family:
+        raise CliInputError("--param sets a family parameter; give --family too")
     if args.input:
         try:
             return load_graph(args.input)
@@ -99,16 +100,17 @@ def build_parser() -> argparse.ArgumentParser:
     family(p_gen)
     p_gen.add_argument("--format", default="json", choices=["json", "dot"])
     p_gen.add_argument("--list", action="store_true", help="list family names")
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=int, default=None)
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("--suite", required=True, help="suite name or 'all'")
     p_ver.add_argument("--count", type=int, default=None)
     p_ver.add_argument("--max-n", type=int, default=None, dest="max_n")
-    p_ver.add_argument("--seed", type=int, default=42)
+    p_ver.add_argument("--seed", type=int, default=None)
     p_ver.add_argument("--budget", type=int, default=None)
     p_ver.add_argument("--param", action="append", help="suite parameter key=value")
-    p_ver.add_argument("--input", help="graph6 corpus file (outerplanar suite)")
+    p_ver.add_argument("--input", dest="graph6_path",
+                       help="graph6 corpus file (outerplanar suite)")
     p_ver.add_argument("--format", default="text", choices=["text", "json"])
 
     p_pl = sub.add_parser("play", help="play against the exact optimal opponent")
@@ -174,7 +176,9 @@ def cmd_generate(args) -> int:
     if not args.family:
         raise CliInputError("generate needs --family (or --list)")
     params = _parse_params(args.param)
-    if args.seed and "seed" not in params and "seed" in _FAMILY_PARAMS.get(args.family.lower(), ()):
+    if args.seed is not None:
+        if "seed" in params:
+            raise CliInputError("give one of --seed and --param seed=")
         params["seed"] = args.seed
     try:
         g = generate_named(args.family, params)
@@ -189,26 +193,29 @@ def cmd_generate(args) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
+# suite options that have a flag of their own, and that flag
+_VERIFY_FLAGS = {"seed": "--seed", "count": "--count", "max_n": "--max-n", "budget": "--budget",
+                 "graph6_path": "--input"}
+
 
 def cmd_verify(args) -> int:
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     if names[0] not in SUITES:
         raise CliInputError(f"unknown suite {names[0]!r}; choose from {sorted(SUITES)} or 'all'")
-    options = {"seed": args.seed, "count": args.count, "max_n": args.max_n, "budget": args.budget}
-    params = _parse_params(args.param)
-    if "l" in params:  # the m-ell suite's parameter is spelled ell
-        params["ell"] = params.pop("l")
-    if args.input:
-        params["graph6_path"] = args.input
-    for key in params:
-        if key in options:
-            raise CliInputError(f"--param {key}: use --{key.replace('_', '-')}")
-        readers = [name for name in sorted(SUITES) if _reads(SUITES[name], key)]
-        if not set(readers) & set(names):
-            given = "--input" if key == "graph6_path" else f"--param {key}"
-            raise CliInputError(f"no selected suite reads {given}; "
+    given = {}
+    for key, value in _parse_params(args.param).items():
+        if key in _VERIFY_FLAGS:
+            raise CliInputError(f"--param {key}: use {_VERIFY_FLAGS[key]}")
+        given["ell" if key == "l" else key] = value  # the m-ell suite spells it ell
+    given |= {key: getattr(args, key) for key in _VERIFY_FLAGS if getattr(args, key) is not None}
+    for key in given:
+        if not any(key in suite_options(name) for name in names):
+            readers = [name for name in sorted(SUITES) if key in suite_options(name)]
+            flag = _VERIFY_FLAGS.get(key, f"--param {key}")
+            raise CliInputError(f"no selected suite reads {flag}; "
                                 f"suites that do: {', '.join(readers) or 'none'}")
-    results = [run_suite(name, **options, **params) for name in names]
+    results = [run_suite(name, **{key: given[key] for key in suite_options(name) if key in given})
+               for name in names]
     if args.format == "json":
         payload = [
             {
@@ -230,12 +237,6 @@ def cmd_verify(args) -> int:
                 print(f"    first counterexample graph: "
                       f"{json.dumps(r.first_counterexample['graph'], sort_keys=True)}")
     return EXIT_OK if all(r.ok for r in results) else EXIT_VERIFY
-
-
-def _reads(suite, key: str) -> bool:
-    """Whether ``suite`` names ``key`` among its keyword parameters."""
-    param = inspect.signature(suite).parameters.get(key)
-    return param is not None and param.kind is not param.VAR_KEYWORD
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@
 claim about cop throttling on a seeded corpus and reports pass/fail counts
 with the first counterexample serialized.
 
+A suite is a function of the result it fills and of exactly the options it
+reads: ``suite_options`` lists them, and ``run_suite`` refuses any other.
+
 A failing suite is a first-class outcome; the chordal-capture and
 boundary-corners suites in particular document a real error: the claim
 capt(G;S) = max_v d(v,S) for connected chordal graphs fails on 2 of the
@@ -12,6 +15,7 @@ which breaks the claim's proof and its conclusion).
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 import random
@@ -152,15 +156,13 @@ def _sample_placement(g: Graph, rng: random.Random, max_k: int = 3) -> tuple[int
 # suites
 
 
-def suite_chordal_capture(
-    seed: int = 42, count: int = 200, max_n: int = 12, budget: int = DEFAULT_BUDGET, **_
-) -> SuiteResult:
+def suite_chordal_capture(res: SuiteResult, seed: int = 42, count: int = 200, max_n: int = 12,
+                          budget: int = DEFAULT_BUDGET) -> None:
     """capt(G;S) == max_v d(v,S) on random connected chordal graphs.
 
     This is the claim the harness refutes: expect a handful of
     counterexamples on any honest corpus.
     """
-    res = SuiteResult("chordal-capture")
     for i, g in enumerate(chordal_corpus(count, max_n, seed)):
         rng = random.Random(f"{seed}:placements:{i}")
         tables = {}
@@ -176,18 +178,15 @@ def suite_chordal_capture(
                 f"graph {i} ({g.name}): capt(G;{S}) = {exact} but max distance = {fast}",
                 g,
             )
-    return res
 
 
-def suite_boundary_corners(
-    seed: int = 42, count: int = 200, max_n: int = 12, budget: int = DEFAULT_BUDGET, **_
-) -> SuiteResult:
+def suite_boundary_corners(res: SuiteResult, seed: int = 42, count: int = 200,
+                           max_n: int = 12) -> None:
     """Boundary vertices of each v form a set of disjoint corners (chordal).
 
     The claim this rests on is false; the suite documents the concrete
     counterexamples behind chordal-capture's failures.
     """
-    res = SuiteResult("boundary-corners")
     for i, g in enumerate(chordal_corpus(count, max_n, seed)):
         ok = True
         witness = ""
@@ -201,14 +200,11 @@ def suite_boundary_corners(
             if not ok:
                 break
         res.check(ok, f"graph {i} ({g.name}): {witness}", g)
-    return res
 
 
-def suite_prod_chordal(
-    seed: int = 42, count: int = 200, max_n: int = 12, budget: int = DEFAULT_BUDGET, **_
-) -> SuiteResult:
+def suite_prod_chordal(res: SuiteResult, seed: int = 42, count: int = 200, max_n: int = 12,
+                       budget: int = DEFAULT_BUDGET) -> None:
     """th_prod(G) == 1 + rad(G) on random connected chordal graphs."""
-    res = SuiteResult("prod-chordal")
     for i, g in enumerate(chordal_corpus(count, max_n, seed)):
         rep = throttling_report(g, budget=budget)
         rad, _ = radius_and_center(g)
@@ -217,15 +213,12 @@ def suite_prod_chordal(
             f"graph {i} ({g.name}): th_prod = {rep.th_prod}, 1+rad = {1 + rad}",
             g,
         )
-    return res
 
 
-def suite_prop_bounds(
-    seed: int = 42, count: int = 100, max_n: int = 12, budget: int = DEFAULT_BUDGET, **_
-) -> SuiteResult:
+def suite_prop_bounds(res: SuiteResult, seed: int = 42, count: int = 100, max_n: int = 12,
+                      budget: int = DEFAULT_BUDGET) -> None:
     """th_c <= th_prod <= floor((th_c+1)^2/4), th_prod <= min(2*gamma, n), and
     the equality-iff-one-or-n-cops remark, over the mixed corpus."""
-    res = SuiteResult("prop-bounds")
     for g in mixed_corpus(count, max_n, seed):
         rep = throttling_report(g, budget=budget)
         q = rep.th_sum
@@ -246,14 +239,11 @@ def suite_prop_bounds(
             f"{g.name}: th_prod==th_c is {rep.th_prod == q} but extreme-k attainment is {attained_extreme}",
             g,
         )
-    return res
 
 
-def suite_low_thcx(
-    seed: int = 42, count: int = 100, max_n: int = 12, budget: int = DEFAULT_BUDGET, **_
-) -> SuiteResult:
+def suite_low_thcx(res: SuiteResult, seed: int = 42, count: int = 100, max_n: int = 12,
+                   budget: int = DEFAULT_BUDGET) -> None:
     """classify_thprod_low agrees with the exact product throttling number."""
-    res = SuiteResult("low-thcx")
     for g in mixed_corpus(count, max_n, seed):
         cls = classify_thprod_low(g, budget=budget)
         rep = throttling_report(g, budget=budget)
@@ -271,14 +261,11 @@ def suite_low_thcx(
             )
         if cls.ambiguous_3b:
             res.details.append(f"note: {g.name} flags the 3(b) reading ambiguity")
-    return res
 
 
-def suite_iq(
-    seed: int = 42, count: int = 100, max_n: int = 12, budget: int = DEFAULT_BUDGET, **_
-) -> SuiteResult:
+def suite_iq(res: SuiteResult, seed: int = 42, count: int = 100, max_n: int = 12,
+             budget: int = DEFAULT_BUDGET) -> None:
     """The I(q) proposition is an iff; holds must be true everywhere."""
-    res = SuiteResult("iq")
     for g in mixed_corpus(count, max_n, seed):
         chk = check_iq_proposition(g, budget=budget)
         res.check(
@@ -286,23 +273,15 @@ def suite_iq(
             f"{g.name}: left={chk.left} right={chk.right} (q={chk.q}, th_prod={chk.th_prod})",
             g,
         )
-    return res
 
 
-def suite_outerplanar(
-    seed: int = 42,
-    count: int = 500,
-    max_n: int = 7,
-    budget: int = DEFAULT_BUDGET,
-    graph6_path: str | None = None,
-    **_,
-) -> SuiteResult:
+def suite_outerplanar(res: SuiteResult, seed: int = 42, count: int = 500, max_n: int = 7,
+                      budget: int = DEFAULT_BUDGET, graph6_path: str | None = None) -> None:
     """Outerplanar connected graphs are cop-win iff chordal.
 
     Uses a supplied graph6 corpus when given; otherwise all connected
     graphs on <= 5 vertices exhaustively plus seeded samples on 6..max_n.
     """
-    res = SuiteResult("outerplanar")
     graphs: list[Graph] = []
     if graph6_path:
         with open(graph6_path, "r", encoding="utf-8") as fh:
@@ -330,14 +309,10 @@ def suite_outerplanar(
             f"outerplanar n={g.n} edges={g.edges()}: cop-win={copwin}, chordal={chordal}",
             g,
         )
-    return res
 
 
-def suite_meirmoon(
-    seed: int = 42, count: int = 100, max_n: int = 12, budget: int = DEFAULT_BUDGET, **_
-) -> SuiteResult:
+def suite_meirmoon(res: SuiteResult, seed: int = 42, count: int = 100, max_n: int = 12) -> None:
     """Greedy k-distance domination respects gamma_k <= floor(n/(k+1))."""
-    res = SuiteResult("meirmoon")
     for g in mixed_corpus(count, max_n, seed):
         if not g.is_connected():
             continue
@@ -353,15 +328,12 @@ def suite_meirmoon(
                 f" or fails to cover",
                 g,
             )
-    return res
 
 
-def suite_tree_bound(
-    seed: int = 42, count: int = 25, max_n: int = 144, budget: int = DEFAULT_BUDGET, **_
-) -> SuiteResult:
+def suite_tree_bound(res: SuiteResult, seed: int = 42, count: int = 25, max_n: int = 144,
+                     budget: int = DEFAULT_BUDGET) -> None:
     """Radius-based throttling respects ceil(sqrt n)+floor(sqrt n)-1 <= 2*floor(sqrt n)
     on trees up to n=144, and the exact engine confirms the bound at desk scale."""
-    res = SuiteResult("tree-bound")
     for g in tree_corpus(count, max_n, seed):
         bound = sqrt_ceil(g.n) + isqrt(g.n) - 1
         # small budget: large trees go straight to the greedy certified bound
@@ -378,14 +350,10 @@ def suite_tree_bound(
                 f"{g.name}: engine th_c {rep.th_sum} vs radius-based {ct.th_sum}, bound {bound}",
                 g,
             )
-    return res
 
 
-def suite_guard_lemma(
-    seed: int = 42, count: int = 0, max_n: int = 30, budget: int = DEFAULT_BUDGET, **_
-) -> SuiteResult:
+def suite_guard_lemma(res: SuiteResult, max_n: int = 30) -> None:
     """Guard placements cover within r, guard within r rounds, and are sharp."""
-    res = SuiteResult("guard-lemma")
     for k in range(0, max_n + 1):
         for r in range(1, 6):
             posts = guard_placement(k, r)
@@ -411,15 +379,12 @@ def suite_guard_lemma(
                     f"k={k} r={r}: shadow chase took {rounds} > {r} rounds",
                     g,
                 )
-    return res
 
 
-def suite_corner_sandwich(
-    seed: int = 42, count: int = 100, max_n: int = 10, budget: int = DEFAULT_BUDGET, **_
-) -> SuiteResult:
+def suite_corner_sandwich(res: SuiteResult, seed: int = 42, count: int = 100, max_n: int = 10,
+                          budget: int = DEFAULT_BUDGET) -> None:
     """capt(G-C;S) <= capt(G;S) <= capt(G-C;S)+1 with C the boundary
     vertices of a random vertex, S random placements avoiding C."""
-    res = SuiteResult("corner-sandwich")
     for i, g in enumerate(chordal_corpus(count, max_n, seed)):
         rng = random.Random(f"{seed}:sandwich:{i}")
         v = rng.randrange(g.n)
@@ -442,14 +407,11 @@ def suite_corner_sandwich(
                 f"graph {i} ({g.name}) v={v} S={S}: capt(G)={vG}, capt(G-C)={vH}",
                 g,
             )
-    return res
 
 
-def suite_unicyclic_bound(
-    seed: int = 42, count: int = 30, max_n: int = 12, budget: int = DEFAULT_BUDGET, **_
-) -> SuiteResult:
+def suite_unicyclic_bound(res: SuiteResult, seed: int = 42, count: int = 30, max_n: int = 12,
+                          budget: int = DEFAULT_BUDGET) -> None:
     """Feedback certificates on unicyclic graphs: valid and cost <= 2*sqrt(n)+1."""
-    res = SuiteResult("unicyclic-bound")
     for g in unicyclic_corpus(count, max_n, seed):
         cert = feedback_bound(g, budget=budget)
         outcome = certify_strategy(g, cert)
@@ -463,14 +425,11 @@ def suite_unicyclic_bound(
             f"bound={2 * math.sqrt(g.n) + 1:.2f} engine={engine_val}",
             g,
         )
-    return res
 
 
-def suite_certificates(
-    seed: int = 42, count: int = 25, max_n: int = 10, budget: int = DEFAULT_BUDGET, **_
-) -> SuiteResult:
+def suite_certificates(res: SuiteResult, seed: int = 42, count: int = 25, max_n: int = 10,
+                       budget: int = DEFAULT_BUDGET) -> None:
     """Every produced certificate validates and dominates the exact engine value."""
-    res = SuiteResult("certificates")
 
     def check_cert(g: Graph, cert: PlacementCertificate, label: str):
         outcome = certify_strategy(g, cert)
@@ -491,18 +450,15 @@ def suite_certificates(
         radius = max(1, sqrt_ceil(g.n) - 1)
         cops = k_distance_dominating(g, radius)
         check_cert(g, ball_cover_strategy(g, cops, radius), "ball-cover")
-    return res
 
 
-def suite_star_lemma(
-    seed: int = 42, count: int = 20, max_n: int = 9, budget: int = DEFAULT_BUDGET, **_
-) -> SuiteResult:
+def suite_star_lemma(res: SuiteResult, seed: int = 42, count: int = 20,
+                     budget: int = DEFAULT_BUDGET) -> None:
     """Star attachment: every sampled member of S(P4) of order 9 has th_c <= 4.
 
     Instance of the lemma with alpha=1/2, k=3/2, t=9: th_c(P4)=3 <= k*sqrt(4)
     and t - t^alpha/(k(1-alpha)) = 5 > 4, so th_c(G') <= k*sqrt(t) = 4.5.
     """
-    res = SuiteResult("star-lemma")
     base = families.path(4)
     for i in range(count):
         rng = random.Random(f"{seed}:star:{i}")
@@ -516,12 +472,10 @@ def suite_star_lemma(
             f"S(P4) sample {i} anchors {sorted(anchors)}: th_c = {rep.th_sum} > 4",
             g,
         )
-    return res
 
 
-def suite_lambert(seed: int = 42, count: int = 60, **_) -> SuiteResult:
+def suite_lambert(res: SuiteResult, count: int = 60) -> None:
     """|W(x) e^W(x) - x| <= 1e-12 on a 60-point grid in [0.1, 1e6]."""
-    res = SuiteResult("lambert")
     with localcontext(Context(prec=40)):
         tol = Decimal("1e-12")
         for i in range(count):
@@ -531,14 +485,10 @@ def suite_lambert(seed: int = 42, count: int = 60, **_) -> SuiteResult:
             res.check(resid <= tol, f"x={float(x):.6g}: residual {float(resid):.3g}")
         res.check(lambert_w(0) == 0, "W(0) != 0")
         res.check(abs(lambert_w(Decimal(1).exp()) - 1) <= tol, "W(e) != 1")
-    return res
 
 
-def suite_m_ell(
-    seed: int = 42, count: int = 0, max_n: int = 0, budget: int = 10**9, ell: int = 7, **_
-) -> SuiteResult:
+def suite_m_ell(res: SuiteResult, budget: int = DEFAULT_BUDGET, ell: int = 7) -> None:
     """The M(ell) separation: th_prod unattainable at both c(G) and gamma(G) sizes."""
-    res = SuiteResult("m-ell")
     g = families.m_ell(ell)
     res.check(g.n == 6 * ell + 8, f"order {g.n} != {6 * ell + 8}", g)
     gamma, _ = domination_number(g, budget=budget)
@@ -579,10 +529,9 @@ def suite_m_ell(
             res.check(2 * (1 + c2) >= 20, f"k=2 sweep gives {2 * (1 + c2)} < 20", g)
             res.check(3 * (1 + c3) <= 18, f"3-cop placement gives {3 * (1 + c3)} > 18", g)
             res.check(gamma == 25, f"gamma(M(7)) = {gamma} != 25", g)
-    return res
 
 
-SUITES: dict[str, Callable[..., SuiteResult]] = {
+SUITES: dict[str, Callable[..., None]] = {
     "chordal-capture": suite_chordal_capture,
     "prod-chordal": suite_prod_chordal,
     "prop-bounds": suite_prop_bounds,
@@ -602,11 +551,17 @@ SUITES: dict[str, Callable[..., SuiteResult]] = {
 }
 
 
-def run_suite(name: str, **kwargs) -> SuiteResult:
+def suite_options(name: str) -> tuple[str, ...]:
+    """The options suite ``name`` reads: its keyword parameters after ``res``."""
+    return tuple(inspect.signature(SUITES[name]).parameters)[1:]
+
+
+def run_suite(name: str, **options) -> SuiteResult:
+    """Run suite ``name`` on ``options``; an option it does not read raises TypeError."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    kwargs = {k: v for k, v in kwargs.items() if v is not None}
+    res = SuiteResult(name)
     t0 = time.perf_counter()
-    res = SUITES[name](**kwargs)
+    SUITES[name](res, **options)
     res.elapsed = time.perf_counter() - t0
     return res

@@ -1,10 +1,12 @@
 import io
 import json
 
-from copthrottle import cli
+import pytest
+
+from copthrottle import cli, families
 from copthrottle.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main
 from copthrottle.graphio import to_json
-from copthrottle.verify import SUITES, SuiteResult
+from copthrottle.verify import SUITES, SuiteResult, suite_options
 
 
 def run_cli(capsys, *argv, stdin=None, monkeypatch=None):
@@ -72,6 +74,14 @@ class TestAnalyze:
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
 
+    @pytest.mark.parametrize("command", ["analyze", "play"])
+    def test_param_without_family_refused(self, capsys, tmp_path, command):
+        path = tmp_path / "p3.json"
+        path.write_text(to_json(families.path(3)))
+        code, out, err = run_cli(capsys, command, "--input", str(path), "--param", "n=9")
+        assert code == EXIT_INPUT and out == ""
+        assert "--param sets a family parameter; give --family too" in err
+
 
 class TestGenerate:
     def test_json_output(self, capsys):
@@ -92,6 +102,24 @@ class TestGenerate:
             "--param", "seed=7", "--format", "json",
         )
         assert out1 == out2
+
+    def test_seed_zero_passthrough(self, capsys):
+        args = ("generate", "--family", "random_tree", "--param", "n=4")
+        code, out1, _ = run_cli(capsys, *args, "--seed", "0")
+        assert code == EXIT_OK
+        assert out1 == run_cli(capsys, *args, "--param", "seed=0")[1]
+
+    def test_seed_for_a_family_without_one_refused(self, capsys):
+        code, out, err = run_cli(capsys, "generate", "--family", "path", "--param", "n=3",
+                                 "--seed", "5")
+        assert code == EXIT_INPUT and out == ""
+        assert "family 'path' takes parameters ('n',), got ['n', 'seed']" in err
+
+    def test_seed_given_twice_refused(self, capsys):
+        code, out, err = run_cli(capsys, "generate", "--family", "random_tree", "--param", "n=4",
+                                 "--param", "seed=1", "--seed", "2")
+        assert code == EXIT_INPUT and out == ""
+        assert "give one of --seed and --param seed=" in err
 
     def test_dot(self, capsys):
         code, out, _ = run_cli(capsys, "generate", "--family", "path",
@@ -162,22 +190,44 @@ class TestVerify:
         assert code == EXIT_INPUT and out == ""
         assert "no selected suite reads --input; suites that do: outerplanar" in err
 
+    @pytest.mark.parametrize("suite,flag,value,readers", [
+        ("lambert", "--seed", "7", "boundary-corners, certificates, chordal-capture, "
+         "corner-sandwich, iq, low-thcx, meirmoon, outerplanar, prod-chordal, prop-bounds, "
+         "star-lemma, tree-bound, unicyclic-bound"),
+        ("m-ell", "--count", "3", "boundary-corners, certificates, chordal-capture, "
+         "corner-sandwich, iq, lambert, low-thcx, meirmoon, outerplanar, prod-chordal, "
+         "prop-bounds, star-lemma, tree-bound, unicyclic-bound"),
+        ("guard-lemma", "--budget", "5", "certificates, chordal-capture, corner-sandwich, iq, "
+         "low-thcx, m-ell, outerplanar, prod-chordal, prop-bounds, star-lemma, tree-bound, "
+         "unicyclic-bound"),
+    ])
+    def test_flag_no_suite_reads_refused(self, capsys, suite, flag, value, readers):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, flag, value)
+        assert code == EXIT_INPUT and out == ""
+        assert f"no selected suite reads {flag}; suites that do: {readers}\n" in err
+
     def test_param_owned_by_an_option_refused(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "lambert", "--param", "count=3")
         assert code == EXIT_INPUT and "--param count: use --count" in err
 
     def test_all_suites_take_ell(self, capsys, monkeypatch):
-        calls = []
+        # `--suite all` accepts an option some suite reads; each suite gets only its own
+        calls = {}
 
-        def record(name, **kwargs):
-            calls.append((name, kwargs["ell"]))
+        def record(name, **options):
+            calls[name] = options
             return SuiteResult(name)
 
         monkeypatch.setattr(cli, "run_suite", record)
         for spelling in ("ell=5", "l=5"):
             calls.clear()
             assert run_cli(capsys, "verify", "--suite", "all", "--param", spelling)[0] == EXIT_OK
-            assert calls == [(name, 5) for name in sorted(SUITES)]
+            assert calls == {name: {"ell": 5} if name == "m-ell" else {} for name in SUITES}
+        calls.clear()
+        assert run_cli(capsys, "verify", "--suite", "all", "--seed", "42")[0] == EXIT_OK
+        assert calls == {
+            name: {"seed": 42} if "seed" in suite_options(name) else {} for name in SUITES
+        }
 
 
 class TestPlay:
